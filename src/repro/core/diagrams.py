@@ -51,7 +51,12 @@ def metric_metric_diagram(
     x_metric: str = "recall",
     y_metric: str = "precision",
 ) -> pd.DataFrame:
-    """Closure-aware metric/metric diagram via the incremental engine."""
+    """Closure-aware metric/metric diagram via the incremental engine.
+
+    One row per point of :func:`~repro.core.incremental.confusion_series`:
+    ``s`` rows, where ties in similarity can make a row repeat the one
+    before it.
+    """
     return diagram_points(
         confusion_series(n_records, truth_labels, matches, s), x_metric, y_metric
     )
@@ -63,7 +68,10 @@ def best_threshold(
     """(threshold, value) maximising ``metric`` — Snowman's threshold audit.
 
     The §5.4 case study used this to show two contest solutions had left
-    6–8 f1 points on the table by not picking the optimal threshold.
+    6–8 f1 points on the table by not picking the optimal threshold. Every
+    row of a :func:`metric_metric_diagram` is the experiment at its own
+    threshold, ties included, so the pick is a threshold a matcher can use;
+    rows can repeat at ties, and the first of equal maxima is returned.
     """
     row = diagram.loc[diagram[metric].idxmax()]
     return float(row["threshold"]), float(row[metric])

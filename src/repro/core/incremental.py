@@ -1,21 +1,25 @@
 """Snowman's incremental metric/metric-diagram engine (paper Appendix D).
 
 Computes a sequence of confusion matrices for ``s`` similarity thresholds
-over a scored match list, in O(|D| + |Matches|·s) instead of the naïve
-O(s·(|D| + |Matches|)):
+over a scored match list, in O(|D| + |Matches|·log|Matches|) instead of the
+naïve O(s·(|D| + |Matches|)):
 
-- :class:`UnionFind` tracks cluster sizes and the total intra-cluster pair
-  count, and supports ``tracked_union`` (the paper's ``trackedUnion``): a
-  batched union that reports which pre-batch clusters merged into which
-  post-batch cluster.
-- :class:`DynamicIntersection` maintains the intersection clustering of the
-  (growing) experiment clustering with the fixed ground-truth clustering
-  (paper Algorithm 2). The number of true-positive pairs at any point equals
-  the pair count of the intersection clustering (Fig. 10).
-- :func:`confusion_series` is paper Algorithm 1. :func:`naive_confusion_series`
-  is the paper's "slightly more advanced naïve" baseline — rebuild clustering
-  and intersection from scratch at every threshold — which Table 1 compares
-  against.
+- :class:`UnionFind` holds only the records that appear in a match, created
+  lazily; a record in no match is a singleton and adds no pairs.
+- :func:`confusion_series` is paper Algorithm 1. It computes the result of
+  the paper's Algorithm 2 (``trackedUnion`` plus the dynamic intersection)
+  without a second union-find: each experiment cluster keeps how many
+  members each gold cluster has, a union merges the smaller of the two
+  label maps into the larger, and adds Σ_g count_a[g]·count_b[g] to the
+  true-positive count — the pairs it adds to the intersection of the
+  experiment clustering with the gold clustering (paper Fig. 10).
+  :func:`naive_confusion_series` is the paper's "slightly more advanced
+  naïve" baseline — rebuild clustering and intersection from scratch at
+  every threshold — which Table 1 compares against.
+
+Both engines cut the sorted matches at the same borders, moved to the end
+of any run of tied similarities, so every point is the transitive closure
+of exactly the matches at or above its threshold.
 
 This engine is deliberately a driver-side data structure: the algorithm is a
 sequential fold over matches sorted by similarity (each step depends on all
@@ -25,8 +29,10 @@ for pair-level (non-closure) sweeps lives in :mod:`repro.core.diagrams`.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 
 @dataclass(frozen=True)
@@ -41,122 +47,101 @@ class Confusion:
 
 
 class UnionFind:
-    """Union-find with union-by-size, path compression, and pair counting.
+    """Union-find by size with path compression and pair counting.
 
     ``pair_count`` is Σ C(size(c), 2) over all clusters — the number of
     intra-cluster pairs — maintained in O(1) per union [Tarjan 1972 for the
-    asymptotics of find/union].
+    asymptotics of find/union]. Records are created on first use: one never
+    passed to :meth:`union` is a singleton, so the state grows with the
+    records that appear in a match, not with the dataset.
     """
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+        self.size: dict[int, int] = {}
         self.pair_count = 0
 
     def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while x != root:  # path compression
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: int, b: int) -> int:
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Merge the clusters of ``a`` and ``b``.
+
+        Returns ``(kept root, absorbed root)``, or ``None`` if ``a`` and
+        ``b`` were in one cluster already.
+        """
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
+            return None
+        size = self.size
+        sa, sb = size.get(ra, 1), size.get(rb, 1)
+        if sa < sb:
+            ra, rb, sa, sb = rb, ra, sb, sa
         self.parent[rb] = ra
-        self.pair_count += self.size[ra] * self.size[rb]
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def tracked_union(
-        self, pairs: Iterable[tuple[int, int]]
-    ) -> list[tuple[int, list[int]]]:
-        """Batched union returning the paper's ``Merges`` list.
-
-        Each entry is ``(target, sources)``: the id of a post-batch cluster
-        together with the pre-batch cluster ids that now constitute it.
-        Entries are only produced for clusters that actually changed
-        (``len(sources) >= 2``). Cluster ids are union-find roots; the target
-        root may coincide with one of its sources, matching the paper's
-        "newly created cluster" bookkeeping without minting fresh ids.
-        """
-        touched: dict[int, int] = {}  # pre-batch root -> marker
-        for a, b in pairs:
-            for x in (a, b):
-                r = self.find(x)
-                touched.setdefault(r, r)
-        for a, b in pairs:
-            self.union(a, b)
-        groups: dict[int, list[int]] = {}
-        for old_root in touched:
-            groups.setdefault(self.find(old_root), []).append(old_root)
-        return [(tgt, srcs) for tgt, srcs in groups.items() if len(srcs) >= 2]
+        self.pair_count += sa * sb
+        size[ra] = sa + sb
+        return ra, rb
 
 
-class DynamicIntersection:
-    """Intersection clustering of experiment × ground truth (Algorithm 2).
+def _point_maker(
+    n_records: int, truth_labels: Sequence[Hashable]
+) -> Callable[[float, int, int], Confusion]:
+    """``point(threshold, tp, predicted_pairs)`` -> the full confusion cells.
 
-    Stored exactly as in the paper: a union-find over records whose clusters
-    are the nonempty intersections (for pair counting), plus a two-level map
-    ``experiment cluster -> {truth cluster -> intersection root}`` to find
-    the clusters affected by an experiment merge in time linear in the
-    number of involved intersection clusters.
+    The gold pair count is Σ C(c, 2) over gold cluster sizes c, taken from
+    how many gold clusters have each size rather than from every cluster.
     """
+    sizes = Counter(Counter(truth_labels).values())
+    gold_pairs = sum(k * (c * (c - 1) // 2) for c, k in sizes.items())
+    total = n_records * (n_records - 1) // 2
 
-    def __init__(self, truth_labels: Sequence[Hashable]) -> None:
-        n = len(truth_labels)
-        self.truth = list(truth_labels)
-        self.uf = UnionFind(n)
-        # Initially every record is its own experiment cluster and its own
-        # intersection cluster (paper Fig. 10 step 0).
-        self.by_exp: dict[int, dict[Hashable, int]] = {
-            r: {truth_labels[r]: r} for r in range(n)
-        }
+    def point(threshold: float, tp: int, predicted: int) -> Confusion:
+        fn = gold_pairs - tp
+        return Confusion(threshold, tp, predicted - tp, fn, total - predicted - fn)
 
-    @property
-    def tp_pairs(self) -> int:
-        """TP count = number of pairs inside intersection clusters."""
-        return self.uf.pair_count
-
-    def apply_merges(self, merges: list[tuple[int, list[int]]]) -> None:
-        """Fold a ``tracked_union`` result into the intersection clustering."""
-        for target, sources in merges:
-            # Collect every intersection cluster belonging to a source
-            # experiment cluster, grouped by ground-truth cluster.
-            by_truth: dict[Hashable, list[int]] = {}
-            for src in sources:
-                for tcluster, icluster in self.by_exp.pop(src, {}).items():
-                    by_truth.setdefault(tcluster, []).append(icluster)
-            new_map: dict[Hashable, int] = {}
-            for tcluster, iclusters in by_truth.items():
-                root = iclusters[0]
-                for other in iclusters[1:]:
-                    root = self.uf.union(root, other)
-                new_map[tcluster] = self.uf.find(root)
-            self.by_exp[target] = new_map
-
-
-def _split_ranges(n_matches: int, s: int) -> list[tuple[int, int]]:
-    """Split ``n_matches`` sorted matches into ``s - 1`` contiguous ranges.
-
-    The paper samples diagram points every ``|Matches| / (s-1)`` matches (not
-    at equidistant thresholds) to avoid empty segments; we use the same
-    policy, rounding range borders when |Matches| is not divisible.
-    """
-    if s < 2:
-        return []
-    borders = [round(i * n_matches / (s - 1)) for i in range(s)]
-    return [(borders[i], borders[i + 1]) for i in range(s - 1)]
+    return point
 
 
 def _prepare(
-    matches: Sequence[tuple[float, int, int]]
+    n_records: int,
+    truth_labels: Sequence[Hashable],
+    matches: Sequence[tuple[float, int, int]],
 ) -> list[tuple[float, int, int]]:
+    """Validate the engine input; returns the matches by descending similarity."""
+    if len(truth_labels) != n_records:
+        raise ValueError(
+            f"{len(truth_labels)} truth labels given for {n_records} records"
+        )
+    for m in matches:
+        _, a, b = m
+        if not (
+            type(a) is int and type(b) is int
+            and 0 <= a < n_records and 0 <= b < n_records
+        ):
+            raise ValueError(
+                f"match {m!r}: record ids must be ints in [0, {n_records})"
+            )
     return sorted(matches, key=lambda m: -m[0])
+
+
+def _batch_ends(ordered: list[tuple[float, int, int]], s: int) -> list[int]:
+    """End (exclusive) of each of the ``s - 1`` prefixes of ``ordered``.
+
+    The paper samples diagram points every ``|Matches| / (s-1)`` matches (not
+    at equidistant thresholds) to avoid empty segments; we use the same
+    policy, rounding borders when |Matches| is not divisible. Each border is
+    then moved to the end of its run of tied similarities, so no prefix
+    holds part of a tie: a prefix emptied by that repeats the point before.
+    """
+    keys = [-m[0] for m in ordered]  # ascending, as bisect needs
+    ends = (round(i * len(keys) / (s - 1)) for i in range(1, s))
+    return [bisect_right(keys, keys[end - 1]) if end else 0 for end in ends]
 
 
 def confusion_series(
@@ -170,30 +155,41 @@ def confusion_series(
     ``matches`` are ``(similarity, record_a, record_b)`` with records as
     dense integer ids in ``[0, n_records)``; ``truth_labels[r]`` is the gold
     cluster of record ``r``. Point 0 is the empty experiment (threshold ∞);
-    point ``i`` includes the ``i·|Matches|/(s-1)`` highest-similarity matches,
-    transitively closed.
+    point ``i`` includes the ``i·|Matches|/(s-1)`` highest-similarity matches
+    together with every match tied with the last of them, transitively
+    closed. Where ties absorb a whole range, a point repeats the one before
+    it, so a tied input can have fewer than ``s`` distinct points.
+    Raises ``ValueError`` on a label count other than ``n_records`` or on a
+    record id that is not an int in range.
     """
-    exp = UnionFind(n_records)
-    inter = DynamicIntersection(truth_labels)
-    counts: dict[Hashable, int] = {}
-    for t in truth_labels:
-        counts[t] = counts.get(t, 0) + 1
-    gold_pairs = sum(c * (c - 1) // 2 for c in counts.values())
-    total = n_records * (n_records - 1) // 2
-
-    def snapshot(threshold: float) -> Confusion:
-        tp = inter.tp_pairs
-        fp = exp.pair_count - tp
-        fn = gold_pairs - tp
-        return Confusion(threshold, tp, fp, fn, total - tp - fp - fn)
-
-    ordered = _prepare(matches)
-    out = [snapshot(float("inf"))]
-    for start, stop in _split_ranges(len(ordered), s):
-        batch = ordered[start:stop]
-        merges = exp.tracked_union([(a, b) for _, a, b in batch])
-        inter.apply_merges(merges)
-        out.append(snapshot(ordered[stop - 1][0] if stop > start else out[-1].threshold))
+    ordered = _prepare(n_records, truth_labels, matches)
+    point = _point_maker(n_records, truth_labels)
+    uf = UnionFind()
+    # Root of a cluster of two or more -> {gold label: member count}.
+    labels: dict[int, dict[Hashable, int]] = {}
+    tp = 0
+    out = [point(float("inf"), 0, 0)]
+    start = 0
+    for stop in _batch_ends(ordered, s):
+        if stop == start:
+            out.append(out[-1])
+            continue
+        for _, a, b in ordered[start:stop]:
+            roots = uf.union(a, b)
+            if roots is None:
+                continue
+            keep, gone = roots
+            big = labels.get(keep) or {truth_labels[keep]: 1}
+            small = labels.pop(gone, None) or {truth_labels[gone]: 1}
+            if len(big) < len(small):
+                big, small = small, big
+            labels[keep] = big
+            for g, c in small.items():  # the pairs the merge adds to TP
+                have = big.get(g, 0)
+                tp += have * c
+                big[g] = have + c
+        out.append(point(ordered[stop - 1][0], tp, uf.pair_count))
+        start = stop
     return out
 
 
@@ -207,20 +203,16 @@ def naive_confusion_series(
 
     For each of the ``s`` thresholds, build the experiment clustering from
     scratch with a fresh union-find, then compute the intersection pair count
-    by grouping records on (experiment root, truth cluster). Linear per
+    by grouping every record on (experiment root, truth cluster). Linear per
     threshold — this is the stronger of the two naïve variants the paper
-    describes, and the one timed in Table 1.
+    describes, and the one timed in Table 1. Same points and validation as
+    :func:`confusion_series`.
     """
-    counts: dict[Hashable, int] = {}
-    for t in truth_labels:
-        counts[t] = counts.get(t, 0) + 1
-    gold_pairs = sum(c * (c - 1) // 2 for c in counts.values())
-    total = n_records * (n_records - 1) // 2
-    ordered = _prepare(matches)
-    prefixes = [0] + [stop for _, stop in _split_ranges(len(ordered), s)]
+    ordered = _prepare(n_records, truth_labels, matches)
+    point = _point_maker(n_records, truth_labels)
     out: list[Confusion] = []
-    for k in prefixes:
-        uf = UnionFind(n_records)
+    for k in [0, *_batch_ends(ordered, s)]:
+        uf = UnionFind()
         for _, a, b in ordered[:k]:
             uf.union(a, b)
         isizes: dict[tuple[int, Hashable], int] = {}
@@ -228,8 +220,6 @@ def naive_confusion_series(
             key = (uf.find(r), truth_labels[r])
             isizes[key] = isizes.get(key, 0) + 1
         tp = sum(c * (c - 1) // 2 for c in isizes.values())
-        fp = uf.pair_count - tp
-        fn = gold_pairs - tp
         thr = ordered[k - 1][0] if k else float("inf")
-        out.append(Confusion(thr, tp, fp, fn, total - tp - fp - fn))
+        out.append(point(thr, tp, uf.pair_count))
     return out

@@ -57,6 +57,14 @@ class TestBestThreshold:
         thr, val = best_threshold(d, "f1")
         assert (thr, val) == (0.5, 0.8)
 
+    def test_no_phantom_point_at_ties(self):
+        # The two 0.9 matches enter together: no threshold admits only the
+        # first, so no row may show its precision of 1.0.
+        matches = [(0.9, 0, 1), (0.9, 1, 2), (0.5, 2, 3)]
+        d = metric_metric_diagram(4, [0, 0, 1, 1], matches, s=4)
+        thr, val = best_threshold(d, "precision")
+        assert (thr, val) == (0.9, pytest.approx(1 / 3))
+
 
 class TestSparkPairSweep:
     @pytest.fixture

@@ -1,13 +1,13 @@
 """Tests for repro.core.incremental — Appendix D algorithm, incl. Fig. 10."""
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental import (
     Confusion,
-    DynamicIntersection,
     UnionFind,
     confusion_series,
     naive_confusion_series,
@@ -16,12 +16,12 @@ from repro.core.incremental import (
 
 class TestUnionFind:
     def test_initial_state(self):
-        uf = UnionFind(4)
+        uf = UnionFind()
         assert uf.pair_count == 0
         assert [uf.find(i) for i in range(4)] == [0, 1, 2, 3]
 
     def test_union_updates_pair_count(self):
-        uf = UnionFind(5)
+        uf = UnionFind()
         uf.union(0, 1)
         assert uf.pair_count == 1
         uf.union(2, 3)
@@ -30,67 +30,79 @@ class TestUnionFind:
         assert uf.pair_count == 6
 
     def test_idempotent_union(self):
-        uf = UnionFind(3)
-        uf.union(0, 1)
-        uf.union(1, 0)
+        uf = UnionFind()
+        assert uf.union(0, 1) is not None
+        assert uf.union(1, 0) is None  # already one cluster
         assert uf.pair_count == 1
 
     def test_pair_count_matches_binomial(self):
-        uf = UnionFind(10)
+        uf = UnionFind()
         for i in range(9):
             uf.union(i, i + 1)
         assert uf.pair_count == 45
 
-    def test_tracked_union_reports_merges(self):
-        # Paper D.1 example: {{a},{b},{c,d}} + pairs {a,b},{b,c} -> one merge
-        # with three sources.
-        uf = UnionFind(4)
-        uf.union(2, 3)  # {c, d}
-        merges = uf.tracked_union([(0, 1), (1, 2)])
-        assert len(merges) == 1
-        target, sources = merges[0]
-        assert uf.find(0) == target
-        assert len(sources) == 3
-
-    def test_tracked_union_skips_internal_pairs(self):
-        uf = UnionFind(4)
+    def test_union_keeps_larger_root(self):
+        uf = UnionFind()
         uf.union(0, 1)
-        merges = uf.tracked_union([(0, 1)])  # already same cluster
-        assert merges == []
+        keep, gone = uf.union(2, 0)
+        assert (keep, gone) == (uf.find(0), 2)
 
-    def test_tracked_union_multiple_groups(self):
-        uf = UnionFind(6)
-        merges = uf.tracked_union([(0, 1), (2, 3)])
-        assert len(merges) == 2
-        assert sorted(len(s) for _, s in merges) == [2, 2]
+    def test_holds_only_touched_records(self):
+        uf = UnionFind()
+        uf.union(10**9, 5)
+        assert uf.find(7) == 7
+        assert set(uf.parent) <= {10**9, 5}
 
 
-class TestDynamicIntersection:
-    def test_initial_tp_zero(self):
-        di = DynamicIntersection(["g0", "g0", "g1", "g1"])
-        assert di.tp_pairs == 0
+def _cells(out):
+    return [(c.tp, c.fp, c.fn, c.tn) for c in out]
+
+
+class TestLabelCounting:
+    """True positives of one merge at a time, read off the series."""
 
     def test_merge_within_truth_cluster_adds_tp(self):
-        di = DynamicIntersection(["g0", "g0"])
-        uf = UnionFind(2)
-        di.apply_merges(uf.tracked_union([(0, 1)]))
-        assert di.tp_pairs == 1
+        out = confusion_series(2, ["g0", "g0"], [(1.0, 0, 1)], s=2)
+        assert out[-1].tp == 1
 
     def test_merge_across_truth_clusters_adds_nothing(self):
-        di = DynamicIntersection(["g0", "g1"])
-        uf = UnionFind(2)
-        di.apply_merges(uf.tracked_union([(0, 1)]))
-        assert di.tp_pairs == 0
+        out = confusion_series(2, ["g0", "g1"], [(1.0, 0, 1)], s=2)
+        assert (out[-1].tp, out[-1].fp) == (0, 1)
 
-    def test_side_effect_merge_figure9(self):
+    def test_match_inside_cluster_adds_nothing(self):
+        # The third match joins two records that are already one cluster.
+        matches = [(0.9, 0, 1), (0.8, 1, 2), (0.7, 0, 2)]
+        out = confusion_series(3, ["g0", "g0", "g0"], matches, s=4)
+        assert _cells(out[2:]) == [(3, 0, 0, 0), (3, 0, 0, 0)]
+
+    def test_batch_merges_three_clusters(self):
+        # Paper D.1: {{a},{b},{c,d}} and the pairs {a,b},{b,c} in one batch
+        # become one cluster with three sources.
+        truth = ["g0", "g0", "g0", "g1"]  # a=0 b=1 c=2 d=3
+        matches = [(0.9, 2, 3), (0.5, 0, 1), (0.5, 1, 2)]
+        out = confusion_series(4, truth, matches, s=4)
+        assert _cells(out)[1:3] == [(0, 1, 3, 2), (3, 3, 0, 0)]
+
+    def test_two_merges_in_one_batch(self):
+        out = confusion_series(4, [0, 0, 1, 2], [(0.5, 0, 1), (0.5, 2, 3)], s=2)
+        assert _cells(out)[-1] == (1, 1, 0, 4)
+
+    def test_string_gold_labels(self):
+        truth = ["x", "x", "y", "y", "z"]
+        matches = [(0.9, 0, 1), (0.8, 2, 3), (0.7, 1, 2), (0.6, 3, 4)]
+        out = confusion_series(5, truth, matches, s=5)
+        assert out == naive_confusion_series(5, truth, matches, s=5)
+        assert _cells(out)[-1] == (2, 8, 0, 0)
+
+
+class TestFigure9Example:
+    def test_side_effect_merge(self):
         # Paper Fig. 9: truth {a,b},{c}; matches {b,c} then {a,c}. The first
         # merge changes nothing; the second brings a and b together.
-        di = DynamicIntersection(["g0", "g0", "g1"])  # a=0, b=1, c=2
-        uf = UnionFind(3)
-        di.apply_merges(uf.tracked_union([(1, 2)]))
-        assert di.tp_pairs == 0
-        di.apply_merges(uf.tracked_union([(0, 2)]))
-        assert di.tp_pairs == 1  # {a, b} now intersect-clustered
+        truth = ["g0", "g0", "g1"]  # a=0, b=1, c=2
+        out = confusion_series(3, truth, [(2.0, 1, 2), (1.0, 0, 2)], s=3)
+        assert [c.tp for c in out] == [0, 0, 1]  # {a, b} intersect-clustered
+        assert out == naive_confusion_series(3, truth, [(2.0, 1, 2), (1.0, 0, 2)], s=3)
 
 
 class TestFigure10Example:
@@ -193,3 +205,106 @@ class TestIncrementalEqualsNaive:
         fast = confusion_series(n, truth, matches, s=21)
         slow = naive_confusion_series(n, truth, matches, s=21)
         assert fast == slow
+
+
+def _closure_cells(n, truth, matches, threshold):
+    """Reference: (tp, fp) of the networkx closure of matches >= threshold."""
+    g = nx.Graph()
+    g.add_edges_from((a, b) for sim, a, b in matches if sim >= threshold)
+    tp = fp = 0
+    for comp in nx.connected_components(g):
+        per_label = {}
+        for r in comp:
+            per_label[truth[r]] = per_label.get(truth[r], 0) + 1
+        inside = sum(c * (c - 1) // 2 for c in per_label.values())
+        tp += inside
+        fp += len(comp) * (len(comp) - 1) // 2 - inside
+    return tp, fp
+
+
+@st.composite
+def _tied_instances(draw):
+    n, truth, matches, s = draw(_instances())
+    sims = st.sampled_from([0.1, 0.5, 0.9])
+    return n, truth, [(draw(sims), a, b) for _, a, b in matches], s
+
+
+class TestTies:
+    # Gold {0,1},{2,3}; the two 0.9 matches must enter together.
+    TRUTH = [0, 0, 1, 1]
+    MATCHES = [(0.9, 0, 1), (0.9, 1, 2), (0.5, 2, 3)]
+
+    def test_no_phantom_point_inside_a_tie(self):
+        for engine in (confusion_series, naive_confusion_series):
+            out = engine(4, self.TRUTH, self.MATCHES, s=4)
+            assert [(c.threshold, c.tp, c.fp) for c in out] == [
+                (float("inf"), 0, 0),
+                (0.9, 1, 2),
+                (0.9, 1, 2),  # range emptied by the tie: repeats the point
+                (0.5, 2, 4),
+            ]
+
+    def test_all_tied_matches_fill_the_series(self):
+        matches = [(0.5, i, i + 1) for i in range(6)]
+        out = confusion_series(7, [0] * 7, matches, s=4)
+        assert len(out) == 4
+        assert out[1] == out[2] == out[3]
+        assert out[1].tp == 21
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_instances())
+    def test_every_point_is_the_closure_at_its_threshold(self, inst):
+        n, truth, matches, s = inst
+        fast = confusion_series(n, truth, matches, s)
+        assert fast == naive_confusion_series(n, truth, matches, s)
+        assert len(fast) == s
+        for c in fast:
+            assert (c.tp, c.fp) == _closure_cells(n, truth, matches, c.threshold)
+
+
+class TestValidation:
+    ENGINES = pytest.mark.parametrize(
+        "engine", [confusion_series, naive_confusion_series]
+    )
+
+    @ENGINES
+    def test_negative_record_id(self, engine):
+        # -1 used to index record 2 from the end and count a false positive.
+        with pytest.raises(ValueError, match=r"\(1\.0, -1, 0\)"):
+            engine(3, [0, 0, 1], [(1.0, -1, 0)], 2)
+
+    @ENGINES
+    def test_label_count_differs_from_records(self, engine):
+        # Five labels for three records used to give tn = -1.
+        with pytest.raises(ValueError, match="5 truth labels"):
+            engine(3, [0, 0, 1, 1, 1], [(1.0, 0, 1)], 2)
+
+    @ENGINES
+    @pytest.mark.parametrize("bad", [(1.0, 0, 3), (1.0, "a", 1), (1.0, 0, 1.0)])
+    def test_record_id_not_an_int_in_range(self, engine, bad):
+        with pytest.raises(ValueError, match="record ids must be ints"):
+            engine(3, [0, 0, 1], [(0.5, 0, 1), bad], 2)
+
+
+class TestEdgeCases:
+    def test_singleton_only_data(self):
+        n = 6
+        out = confusion_series(n, list(range(n)), [(0.5, 0, 1), (0.4, 2, 3)], s=3)
+        assert _cells(out) == [(0, 0, 0, 15), (0, 1, 0, 14), (0, 2, 0, 13)]
+
+    def test_long_chain(self):
+        n = 2000
+        truth = [r // 1000 for r in range(n)]
+        matches = [(1.0 - r / n, r, r + 1) for r in range(n - 1)]
+        out = confusion_series(n, truth, matches, s=5)
+        assert out == naive_confusion_series(n, truth, matches, s=5)
+        assert _cells(out)[-1] == (2 * 499_500, 1000 * 1000, 0, 0)
+
+    def test_many_more_records_than_matched(self):
+        n = 1_000_000
+        truth = [r // 2 for r in range(n)]
+        matches = [(0.9, 0, 1), (0.8, 999_998, 999_999), (0.7, 1, 2)]
+        out = confusion_series(n, truth, matches, s=4)
+        gold = n // 2
+        total = n * (n - 1) // 2
+        assert _cells(out)[-1] == (2, 2, gold - 2, total - gold - 2)
