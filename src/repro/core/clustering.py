@@ -1,59 +1,59 @@
-"""Connected components over DataFrames — the duplicate-clustering substrate.
+"""Connected components of a match graph — the duplicate-clustering substrate.
 
 Frost requires experiments to be transitively closed (§1.2, §4.2.4); real
 matchers output raw match pairs, so the platform needs a clustering step.
-This is the classic min-label propagation: every record starts with its own
-label, and each iteration every record adopts the smallest label in its
-neighbourhood, until a fixpoint. Runs entirely in the DataFrame API; the
-iteration count is bounded by the largest cluster diameter, which is small
-for dedup workloads (clusters are near-cliques).
+Appendix D assumes that the matches fit on the driver, so the distinct edges
+are collected once and folded through the engine's union-find.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.incremental import UnionFind
 
-def connected_components(
-    pairs: DataFrame, records: DataFrame, max_iterations: int = 50
-) -> DataFrame:
+#: most distinct pairs a match graph may have; larger inputs raise.
+MAX_EDGES = 1_000_000
+
+
+def match_graph(pairs: DataFrame) -> tuple[list[tuple], UnionFind]:
+    """The distinct edges of ``pairs`` on the driver, and their union-find.
+
+    Raises ``ValueError`` when ``pairs`` has more than :data:`MAX_EDGES`
+    distinct pairs, or when a pair is not canonical (``id1 < id2``).
+    """
+    rows = pairs.select("id1", "id2").distinct().limit(MAX_EDGES + 1).collect()
+    if len(rows) > MAX_EDGES:
+        raise ValueError(
+            f"more than MAX_EDGES = {MAX_EDGES} distinct pairs: components "
+            "are computed on the driver"
+        )
+    uf = UnionFind()
+    for a, b in rows:
+        if not a < b:
+            raise ValueError(f"pair ({a!r}, {b!r}) is not canonical: needs id1 < id2")
+        uf.union(a, b)
+    return rows, uf
+
+
+def connected_components(pairs: DataFrame, records: DataFrame) -> DataFrame:
     """Cluster ``records`` (a DataFrame with column ``rid``) by ``pairs``.
 
     ``pairs`` is a canonical pair set ``(id1, id2)``. Returns a clustering
     ``(rid, cluster)`` where ``cluster`` is the minimum ``rid`` of the
     component (a stable, content-derived cluster id). Records that appear in
-    no pair form singleton clusters.
+    no pair form singleton clusters. Raises as :func:`match_graph` does.
     """
-    edges = (
-        pairs.select(F.col("id1").alias("src"), F.col("id2").alias("dst"))
-        .union(pairs.select(F.col("id2").alias("src"), F.col("id1").alias("dst")))
-        .distinct()
+    edges, uf = match_graph(pairs)
+    nodes = {x for e in edges for x in e}
+    low: dict = {}
+    for x in nodes:
+        root = uf.find(x)
+        low[root] = min(low.get(root, x), x)
+    rid = records.schema["rid"].dataType.simpleString()
+    labels = records.sparkSession.createDataFrame(
+        [(x, low[uf.find(x)]) for x in nodes], f"rid {rid}, _cluster {rid}"
     )
-    labels = records.select("rid", F.col("rid").alias("cluster")).localCheckpoint()
-    for _ in range(max_iterations):
-        neighbor_min = (
-            edges.join(labels, edges.dst == labels.rid)
-            .groupBy("src")
-            .agg(F.min("cluster").alias("nmin"))
-        )
-        new_labels = (
-            labels.join(neighbor_min, labels.rid == neighbor_min.src, "left")
-            .select(
-                "rid",
-                F.least(
-                    F.col("cluster"), F.coalesce(F.col("nmin"), F.col("cluster"))
-                ).alias("cluster"),
-            )
-            .localCheckpoint()
-        )
-        changed = (
-            new_labels.alias("n")
-            .join(labels.alias("o"), "rid")
-            .filter(F.col("n.cluster") != F.col("o.cluster"))
-            .limit(1)
-            .count()
-        )
-        labels = new_labels
-        if changed == 0:
-            break
-    return labels
+    return records.select("rid").join(labels, "rid", "left").select(
+        "rid", F.coalesce("_cluster", "rid").alias("cluster")
+    )

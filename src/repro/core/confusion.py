@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,14 @@ def confusion_counts(
     total = (
         pair_universe_size(n_records) if n_records is not None else universe_size
     )
-    tp_df, fp_df, fn_df = confusion_sets(experiment, gold)
-    tp, fp, fn = tp_df.count(), fp_df.count(), fn_df.count()
+    key = ["id1", "id2"]
+    e = experiment.select(*key, F.lit(1).alias("_e"))
+    g = gold.select(*key, F.lit(1).alias("_g"))
+    tp, fp, fn = e.join(g, key, "full_outer").agg(
+        F.count_if(F.col("_e").isNotNull() & F.col("_g").isNotNull()),
+        F.count_if(F.col("_g").isNull()),
+        F.count_if(F.col("_e").isNull()),
+    ).first()
     tn = total - tp - fp - fn
     if tn < 0:
         raise ValueError(

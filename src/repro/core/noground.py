@@ -19,23 +19,23 @@ properties of the result and from agreement with other solutions:
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.clustering import connected_components
-from repro.core.pairs import pairs_from_clustering
+from repro.core.clustering import match_graph
+from repro.explore.setops import tag_memberships
 
 
 def closure_violation_count(pairs: DataFrame, records: DataFrame) -> int:
-    """Number of pairs missing for the match set to be transitively closed."""
-    clustering = connected_components(pairs, records.select("rid"))
-    closed_count = (
-        clustering.groupBy("cluster")
-        .agg(F.count("*").alias("n"))
-        .agg(F.sum(F.col("n") * (F.col("n") - 1) / 2))
-        .first()[0]
-    )
-    return int(closed_count or 0) - pairs.select("id1", "id2").distinct().count()
+    """Number of pairs missing for the match set to be transitively closed.
+
+    A record in no pair is a singleton and adds no pair, so ``records`` is
+    not read. Raises as :func:`repro.core.clustering.match_graph` does.
+    """
+    edges, uf = match_graph(pairs)
+    return uf.pair_count - len(edges)
 
 
 def link_redundancy(pairs: DataFrame, records: DataFrame) -> float:
@@ -45,30 +45,25 @@ def link_redundancy(pairs: DataFrame, records: DataFrame) -> float:
     edges are e - (n - 1) out of a possible C(n,2) - (n - 1). We report the
     edge-weighted average over components (components of size 2 contribute
     ratio 0 of 0 and are skipped). 1.0 means every cluster is a full clique.
+    As in :func:`closure_violation_count`, ``records`` is not read.
     """
-    clustering = connected_components(pairs, records.select("rid"))
-    edge_clusters = (
-        pairs.join(
-            clustering.withColumnRenamed("rid", "id1"), on="id1"
-        )
-        .groupBy("cluster")
-        .agg(F.count("*").alias("e"))
+    edges, uf = match_graph(pairs)
+    extra = possible = 0
+    for root, e in Counter(uf.find(a) for a, _ in edges).items():
+        n = uf.size[root]
+        if n > 2:
+            extra += e - (n - 1)
+            possible += n * (n - 1) // 2 - (n - 1)
+    return extra / possible if possible else 0.0
+
+
+def _votes(experiments: list[DataFrame]) -> DataFrame:
+    """Membership table ``id1, id2, in_0 .. in_<n-1>`` plus a ``consensus`` flag."""
+    names = [str(i) for i in range(len(experiments))]
+    votes = sum(F.col(f"in_{n}") for n in names)
+    return tag_memberships(dict(zip(names, experiments))).withColumn(
+        "consensus", (votes * 2 > len(experiments)).cast("int")
     )
-    sizes = clustering.groupBy("cluster").agg(F.count("*").alias("n"))
-    per = (
-        sizes.join(edge_clusters, "cluster", "inner")
-        .filter(F.col("n") > 2)
-        .withColumn("extra", F.col("e") - (F.col("n") - 1))
-        .withColumn(
-            "possible", F.col("n") * (F.col("n") - 1) / 2 - (F.col("n") - 1)
-        )
-    )
-    row = per.agg(
-        F.sum("extra").alias("extra"), F.sum("possible").alias("possible")
-    ).first()
-    if not row or not row["possible"]:
-        return 0.0
-    return float(row["extra"]) / float(row["possible"])
 
 
 def majority_vote(experiments: list[DataFrame]) -> DataFrame:
@@ -78,26 +73,18 @@ def majority_vote(experiments: list[DataFrame]) -> DataFrame:
     it. Returns the consensus pair set — usable as an "experimental ground
     truth" (§4.1, [Vogel et al. 2014]).
     """
-    n = len(experiments)
-    union = None
-    for e in experiments:
-        tagged = e.select("id1", "id2")
-        union = tagged if union is None else union.unionByName(tagged)
-    votes = union.groupBy("id1", "id2").agg(F.count("*").alias("votes"))
-    return votes.filter(F.col("votes") * 2 > n).select("id1", "id2")
+    return _votes(experiments).filter("consensus = 1").select("id1", "id2")
 
 
 def consensus_deviations(experiments: list[DataFrame]) -> list[int]:
     """For each experiment, |E Δ consensus| — lower is (estimated) better."""
-    consensus = majority_vote(experiments).cache()
-    out = []
-    for e in experiments:
-        pairs = e.select("id1", "id2")
-        missing = consensus.join(pairs, ["id1", "id2"], "left_anti").count()
-        extra = pairs.join(consensus, ["id1", "id2"], "left_anti").count()
-        out.append(missing + extra)
-    consensus.unpersist()
-    return out
+    row = _votes(experiments).agg(
+        *[
+            F.count_if(F.col(f"in_{i}") != F.col("consensus"))
+            for i in range(len(experiments))
+        ]
+    ).first()
+    return [int(v) for v in row]
 
 
 def compactness_sparsity(

@@ -22,19 +22,16 @@ def tag_memberships(experiments: dict[str, DataFrame]) -> DataFrame:
     which every Venn region / set expression is a filter.
     """
     tagged = [
-        e.select("id1", "id2").withColumn("_src", F.lit(name))
+        e.select("id1", "id2", F.lit(name).alias("_src"))
         for name, e in experiments.items()
     ]
     union = reduce(lambda a, b: a.unionByName(b), tagged)
-    out = (
-        union.groupBy("id1", "id2")
-        .agg(F.collect_set("_src").alias("_srcs"))
+    return union.groupBy("id1", "id2").agg(
+        *[
+            F.max((F.col("_src") == name).cast("int")).alias(f"in_{name}")
+            for name in experiments
+        ]
     )
-    for name in experiments:
-        out = out.withColumn(
-            f"in_{name}", F.array_contains("_srcs", name).cast("int")
-        )
-    return out.drop("_srcs")
 
 
 def venn_regions(experiments: dict[str, DataFrame]) -> DataFrame:
@@ -101,14 +98,11 @@ def missed_by_at_least(
     The case study found three true pairs missed by ≥4 of 5 solutions, all
     sharing one hard-to-match record. Returns ``(id1, id2, missed_by)``.
     """
-    tagged = tag_memberships({"__gold__": gold, **experiments})
-    miss_count = reduce(
-        lambda a, b: a + b,
-        [(1 - F.col(f"in_{n}")) for n in experiments],
-    )
+    found = sum(F.col(f"in_{n}") for n in experiments)
     return (
-        tagged.filter(F.col("in___gold__") == 1)
-        .withColumn("missed_by", miss_count)
+        gold.select("id1", "id2")
+        .join(tag_memberships(experiments), ["id1", "id2"], "left")
+        .withColumn("missed_by", len(experiments) - F.coalesce(found, F.lit(0)))
         .filter(F.col("missed_by") >= k)
         .select("id1", "id2", "missed_by")
     )

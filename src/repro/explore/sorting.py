@@ -40,14 +40,15 @@ def cell_entropy(dataset: DataFrame, attribute: str) -> DataFrame:
     cell_counts = toks.groupBy("rid", "token").agg(F.count("*").alias("in_cell"))
     cell_total = toks.groupBy("rid").agg(F.count("*").alias("cell_n"))
     col_counts = toks.groupBy("token").agg(F.count("*").alias("in_col"))
-    col_total = toks.count()
+    col_total = toks.agg(F.count("*").alias("col_n"))
     per_token = (
         cell_counts.join(cell_total, "rid")
         .join(col_counts, "token")
+        .crossJoin(col_total)
         .withColumn(
             "contrib",
             (F.col("in_cell") / F.col("cell_n"))
-            * -F.log(F.col("in_col") / F.lit(float(col_total or 1))),
+            * -F.log(F.col("in_col") / F.col("col_n")),
         )
     )
     ent = per_token.groupBy("rid").agg(F.sum("contrib").alias("entropy"))

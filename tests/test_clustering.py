@@ -1,6 +1,11 @@
 """Tests for repro.core.clustering — connected components substrate."""
+import networkx as nx
 import pandas as pd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import clustering as CL
 from repro.core.clustering import connected_components
 
 
@@ -87,3 +92,82 @@ class TestConnectedComponents:
         for n in nodes:
             expected.setdefault(find(n), set()).add(n)
         assert comps == _canon_comps(expected.values())
+
+
+def _networkx(edges, nodes):
+    """Reference: components and min-rid labels of the networkx graph."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    comps = list(nx.connected_components(g))
+    return _canon_comps(comps), {x: min(c) for c in comps for x in c}
+
+
+class TestAgainstNetworkx:
+    def test_80_node_path_is_one_cluster(self, spark):
+        # Regression: label propagation capped at 50 rounds returned 30 clusters.
+        nodes = [f"n{i:02d}" for i in range(80)]
+        edges = list(zip(nodes, nodes[1:]))
+        got = _components(spark, edges, nodes)
+        assert got == _networkx(edges, nodes)
+        assert got[0] == [(80, tuple(nodes))]
+
+    def test_stars(self, spark):
+        # Centres in the middle of the id order, so the label is not the centre.
+        nodes = [f"s{i}{j}" for i in range(3) for j in range(6)]
+        edges = [
+            tuple(sorted((f"s{i}3", f"s{i}{j}"))) for i in range(3) for j in range(6) if j != 3
+        ]
+        assert _components(spark, edges, nodes) == _networkx(edges, nodes)
+
+    def test_cliques_and_singletons(self, spark):
+        cliques = [[f"c{i}{j}" for j in range(k)] for i, k in enumerate((2, 3, 5))]
+        nodes = [x for c in cliques for x in c] + ["z1", "z2"]
+        edges = [(a, b) for c in cliques for i, a in enumerate(c) for b in c[i + 1 :]]
+        assert _components(spark, edges, nodes) == _networkx(edges, nodes)
+
+    def test_singleton_only_data(self, spark):
+        nodes = [f"r{i}" for i in range(5)]
+        assert _components(spark, [], nodes) == _networkx([], nodes)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sets(
+            st.tuples(st.integers(0, 24), st.integers(0, 24)).filter(
+                lambda e: e[0] < e[1]
+            ),
+            max_size=40,
+        )
+    )
+    def test_random_graphs(self, spark, pairs):
+        nodes = [f"v{i:02d}" for i in range(25)]
+        edges = [(nodes[a], nodes[b]) for a, b in sorted(pairs)]
+        assert _components(spark, edges, nodes) == _networkx(edges, nodes)
+
+
+class TestValidation:
+    def test_reversed_pair_raises(self, spark):
+        with pytest.raises(ValueError, match=r"\('b', 'a'\)"):
+            _components(spark, [("a", "b"), ("b", "a")], list("ab"))
+
+    def test_self_pair_raises(self, spark):
+        with pytest.raises(ValueError, match="not canonical"):
+            _components(spark, [("a", "a")], list("a"))
+
+    def test_size_guard(self, spark, monkeypatch):
+        monkeypatch.setattr(CL, "MAX_EDGES", 3)
+        nodes = list("abcde")
+        edges = list(zip(nodes, nodes[1:]))
+        assert _components(spark, edges[:3], nodes)[0] == [(1, ("e",)), (4, tuple("abcd"))]
+        with pytest.raises(ValueError, match="MAX_EDGES = 3"):
+            _components(spark, edges, nodes)
+
+    def test_duplicate_rows_count_once_against_the_guard(self, spark, monkeypatch):
+        monkeypatch.setattr(CL, "MAX_EDGES", 1)
+        assert _components(spark, [("a", "b"), ("a", "b")], list("ab"))[0] == [(2, ("a", "b"))]
+
+    def test_leaves_no_rdd_persisted(self, spark):
+        nodes = [f"n{i:02d}" for i in range(12)]
+        before = spark.sparkContext._jsc.getPersistentRDDs().size()
+        _components(spark, list(zip(nodes, nodes[1:])), nodes)
+        assert spark.sparkContext._jsc.getPersistentRDDs().size() == before

@@ -103,6 +103,70 @@ class TestMissedByAtLeast:
         assert S.missed_by_at_least(gt, {"e1": e1}, 0).count() == 1
 
 
+@pytest.fixture
+def with_empty(spark):
+    """Overlapping experiments, one empty, and a gold standard."""
+    rows = {
+        "e1": [("a", "b"), ("c", "d"), ("e", "f")],
+        "e2": [("a", "b"), ("c", "d"), ("g", "h")],
+        "e3": [],
+        "gt": [("a", "b"), ("g", "h"), ("i", "j")],
+    }
+    return {n: spark.createDataFrame(r, "id1 string, id2 string") for n, r in rows.items()}
+
+
+def _union_sql(names):
+    return " UNION ALL ".join(f"SELECT id1, id2, '{n}' AS name FROM {n}" for n in names)
+
+
+class TestMembershipViewsAgainstDuckDB:
+    def test_tag_memberships_with_empty_experiment(self, with_empty):
+        assert_equivalent(
+            S.tag_memberships(with_empty),
+            f"""
+            SELECT id1, id2,
+                   max((name = 'e1')::INT) AS in_e1, max((name = 'e2')::INT) AS in_e2,
+                   max((name = 'e3')::INT) AS in_e3, max((name = 'gt')::INT) AS in_gt
+            FROM ({_union_sql(with_empty)}) GROUP BY id1, id2
+            """,
+            **with_empty,
+        )
+
+    def test_venn_regions(self, with_empty):
+        assert_equivalent(
+            S.venn_regions(with_empty),
+            f"""
+            SELECT region, count(*) AS pair_count FROM (
+                SELECT string_agg(name, ',' ORDER BY name) AS region
+                FROM ({_union_sql(with_empty)}) GROUP BY id1, id2
+            ) GROUP BY region
+            """,
+            **with_empty,
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_missed_by_at_least(self, with_empty, k):
+        exps = {n: e for n, e in with_empty.items() if n != "gt"}
+        assert_equivalent(
+            S.missed_by_at_least(with_empty["gt"], exps, k),
+            f"""
+            SELECT g.id1, g.id2, 3 - count(f.name) AS missed_by
+            FROM gt g LEFT JOIN ({_union_sql(exps)}) f USING (id1, id2)
+            GROUP BY g.id1, g.id2 HAVING 3 - count(f.name) >= {k}
+            """,
+            **with_empty,
+        )
+
+    def test_only_empty_experiments(self, with_empty):
+        gold = with_empty["gt"]
+        exps = {"x": with_empty["e3"], "y": with_empty["e3"]}
+        got = S.missed_by_at_least(gold, exps, 2).collect()
+        assert sorted((r["id1"], r["id2"], r["missed_by"]) for r in got) == [
+            ("a", "b", 2), ("g", "h", 2), ("i", "j", 2)
+        ]
+        assert S.venn_regions(exps).count() == 0
+
+
 class TestEnrichWithRecords:
     def test_both_sides_joined(self, spark):
         ds = spark.createDataFrame(

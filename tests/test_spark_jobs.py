@@ -1,0 +1,89 @@
+"""Spark jobs per evaluation view: one pass, whatever the number of experiments.
+
+Jobs are counted through a job group and the status tracker, after the
+listener bus that fills the tracker has been drained.
+"""
+import random
+import uuid
+
+import pytest
+
+from repro.core import confusion, noground
+from repro.explore import setops, sorting
+
+
+def _jobs(spark, run) -> int:
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.fixture(scope="module")
+def inputs(spark):
+    """A gold standard, five overlapping experiments and their records."""
+    rng = random.Random(5)
+    ids = [f"r{i:03d}" for i in range(120)]
+
+    def pairs():
+        rows = sorted({tuple(sorted(rng.sample(ids, 2))) for _ in range(80)})
+        return spark.createDataFrame(rows, "id1 string, id2 string").cache()
+
+    gold, exps = pairs(), [pairs() for _ in range(5)]
+    records = spark.createDataFrame(
+        [(i, f"{i} tok{int(i[1:]) % 7}") for i in ids], "rid string, name string"
+    ).cache()
+    frames = [gold, *exps, records]
+    for df in frames:
+        df.count()
+    yield gold, exps, records
+    for df in frames:
+        df.unpersist()
+
+
+def _named(exps, n):
+    return {f"e{i}": e for i, e in enumerate(exps[:n])}
+
+
+VIEWS = {
+    "confusion_counts": lambda gold, exps, n: confusion.confusion_counts(
+        exps[n - 1], gold, n_records=120
+    ),
+    "venn_regions": lambda gold, exps, n: setops.venn_regions(_named(exps, n)).collect(),
+    "missed_by_at_least": lambda gold, exps, n: setops.missed_by_at_least(
+        gold, _named(exps, n), 1
+    ).collect(),
+    "consensus_deviations": lambda gold, exps, n: noground.consensus_deviations(exps[:n]),
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+def test_jobs_do_not_grow_with_experiments(spark, inputs, view):
+    gold, exps, _ = inputs
+    run = VIEWS[view]
+    assert _jobs(spark, lambda: run(gold, exps, 2)) == _jobs(
+        spark, lambda: run(gold, exps, 5)
+    )
+
+
+def test_confusion_counts_is_one_join_and_one_aggregate(spark, inputs):
+    # Two shuffle map stages for the join, one for the global aggregate,
+    # and the result stage: at most four jobs, against 12 for 3 joins and
+    # 3 counts.
+    gold, exps, _ = inputs
+    assert _jobs(spark, lambda: confusion.confusion_counts(exps[0], gold, n_records=120)) <= 4
+
+
+def test_closure_violation_count_is_one_collect(spark, inputs):
+    _, exps, records = inputs
+    assert _jobs(spark, lambda: noground.closure_violation_count(exps[0], records)) <= 2
+
+
+def test_building_sort_by_entropy_starts_no_job(spark, inputs):
+    _, exps, records = inputs
+    assert _jobs(spark, lambda: sorting.sort_by_entropy(exps[0], records, ["name"])) == 0
