@@ -42,7 +42,9 @@ def connected_components(pairs: DataFrame, records: DataFrame) -> DataFrame:
     ``pairs`` is a canonical pair set ``(id1, id2)``. Returns a clustering
     ``(rid, cluster)`` where ``cluster`` is the minimum ``rid`` of the
     component (a stable, content-derived cluster id). Records that appear in
-    no pair form singleton clusters. Raises as :func:`match_graph` does.
+    no pair form singleton clusters. Raises as :func:`match_graph` does, and
+    ``ValueError`` naming the least pair id that is not a ``rid`` of
+    ``records``.
     """
     edges, uf = match_graph(pairs)
     nodes = {x for e in edges for x in e}
@@ -54,6 +56,9 @@ def connected_components(pairs: DataFrame, records: DataFrame) -> DataFrame:
     labels = records.sparkSession.createDataFrame(
         [(x, low[uf.find(x)]) for x in nodes], f"rid {rid}, _cluster {rid}"
     )
+    unknown = labels.join(records, "rid", "left_anti").agg(F.min("rid")).first()[0]
+    if unknown is not None:
+        raise ValueError(f"pair id {unknown!r} is not a rid of records")
     return records.select("rid").join(labels, "rid", "left").select(
         "rid", F.coalesce("_cluster", "rid").alias("cluster")
     )

@@ -10,11 +10,12 @@ Two engines:
 - :func:`metric_metric_diagram` — closure-aware, via the Appendix-D
   incremental engine (experiment is transitively closed at every threshold,
   matching Snowman's concept of experiments).
-- :func:`spark_pair_sweep` — pair-level (no transitive closure), a single
-  Spark window pass: sort matches by similarity descending, running TP count
-  = cumulative sum of gold membership. This is the variant Catalyst can
-  pipeline and is used to evaluate e.g. the decision-model stage (§3.2.1:
-  pair-based metrics apply to intermediate, non-closed stages).
+- :func:`spark_pair_sweep` — pair-level (no transitive closure): count
+  matches and gold members per distinct similarity, then running TP count
+  = cumulative sum of those counts, highest similarity first. This is the
+  variant Catalyst can pipeline and is used to evaluate e.g. the
+  decision-model stage (§3.2.1: pair-based metrics apply to intermediate,
+  non-closed stages).
 """
 from __future__ import annotations
 
@@ -86,7 +87,9 @@ def spark_pair_sweep(
     ``gold``: canonical gold pair set. Returns one row per distinct
     similarity with the metrics of the experiment "all matches with
     similarity >= that value" (no transitive closure — the §3.2.1
-    intermediate-stage view). One shuffle for the join, one window pass.
+    intermediate-stage view). One shuffle for the join and one for the
+    per-similarity counts; the running sums then window over the distinct
+    similarities only.
     """
     if gold_size is None:
         gold_size = gold.count()
@@ -95,18 +98,19 @@ def spark_pair_sweep(
         on=["id1", "id2"],
         how="left",
     ).withColumn("is_true", F.coalesce("is_true", F.lit(0)))
+    # Thresholding is >=: count per distinct similarity, then take the
+    # running sums over that small table, highest similarity first.
     w = Window.orderBy(F.col("similarity").desc()).rowsBetween(
         Window.unboundedPreceding, Window.currentRow
     )
-    cum = flagged.select(
-        "similarity",
-        F.sum("is_true").over(w).alias("tp"),
-        F.count("*").over(w).alias("predicted"),
-    )
-    # Thresholding is >=, so of rows sharing a similarity value only the
-    # last (full) cumulative counts are valid for that threshold.
-    per_thr = cum.groupBy("similarity").agg(
-        F.max("tp").alias("tp"), F.max("predicted").alias("predicted")
+    per_thr = (
+        flagged.groupBy("similarity")
+        .agg(F.sum("is_true").alias("_t"), F.count("*").alias("_n"))
+        .select(
+            "similarity",
+            F.sum("_t").over(w).alias("tp"),
+            F.sum("_n").over(w).alias("predicted"),
+        )
     )
     return (
         per_thr.withColumn("precision", F.col("tp") / F.col("predicted"))

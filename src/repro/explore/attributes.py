@@ -11,9 +11,10 @@ Which attributes drove the matcher's mistakes?
   mis-weighted the matching sufficiency of ``a``.
 
 ``nullCount``/``equalCount`` range over all of [D]^2, which is quadratic —
-both are computed in closed form from per-record/per-value counts instead of
+both are computed in closed form from per-value counts instead of
 materialising pairs. Only the misclassified pair set (FP ∪ FN), which is
-small, is joined against record attributes.
+small, is joined against record attributes. Both passes cover every
+attribute at once.
 """
 from __future__ import annotations
 
@@ -22,63 +23,53 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def null_counts(dataset: DataFrame, attribute: str) -> int:
-    """nullCount(a): pairs of [D]^2 with >=1 record null in ``a`` (closed form).
+def _value_counts(dataset: DataFrame, attributes: list[str]) -> DataFrame:
+    """One row: n and, per attribute i, ``_nn{i}`` non-null values and
+    ``_eq{i}`` = Σ_v c_v·(c_v − 1) over its non-null values v.
 
-    C(n, 2) − C(n_nonnull, 2).
+    One grouping set per attribute, each grouped on the column's own type,
+    so values are equal exactly when Spark's typed ``=`` says so.
     """
-    n = dataset.count()
-    nn = dataset.filter(F.col(attribute).isNotNull()).count()
-    return n * (n - 1) // 2 - nn * (nn - 1) // 2
-
-
-def equal_counts(dataset: DataFrame, attribute: str) -> int:
-    """equalCount(a): pairs of [D]^2 with both records equal (non-null) in ``a``.
-
-    Σ over attribute values v of C(count(v), 2).
-    """
-    row = (
-        dataset.filter(F.col(attribute).isNotNull())
-        .groupBy(attribute)
-        .agg(F.count("*").alias("c"))
-        .agg(F.sum(F.col("c") * (F.col("c") - 1) / 2))
-        .first()
+    groups = dataset.groupingSets([[a] for a in attributes], *attributes).agg(
+        *[F.grouping(a).alias(f"_g{i}") for i, a in enumerate(attributes)],
+        F.count("*").alias("_c"),
     )
-    return int(row[0] or 0)
+
+    def over_values(i: int, a: str, x):
+        return F.sum(F.when((F.col(f"_g{i}") == 0) & F.col(a).isNotNull(), x))
+
+    c = F.col("_c")
+    return groups.agg(
+        F.sum(F.when(F.col("_g0") == 0, c)).alias("_n"),
+        *[over_values(i, a, c).alias(f"_nn{i}") for i, a in enumerate(attributes)],
+        *[
+            over_values(i, a, c * (c - 1)).alias(f"_eq{i}")
+            for i, a in enumerate(attributes)
+        ],
+    )
 
 
-def _pair_attrs(pairs: DataFrame, dataset: DataFrame, attribute: str) -> DataFrame:
-    a = dataset.select(F.col("rid").alias("id1"), F.col(attribute).alias("_a1"))
-    b = dataset.select(F.col("rid").alias("id2"), F.col(attribute).alias("_a2"))
-    return pairs.select("id1", "id2").join(a, "id1").join(b, "id2")
+def _false_counts(
+    misclassified: DataFrame, dataset: DataFrame, attributes: list[str]
+) -> DataFrame:
+    """One row: per attribute i, ``_fn{i}`` misclassified pairs with a null
+    and ``_fe{i}`` misclassified pairs equal (non-null) in it."""
 
+    def side(k: int) -> DataFrame:
+        return dataset.select(
+            F.col("rid").alias(f"id{k}"),
+            *[F.col(a).alias(f"_{k}_{i}") for i, a in enumerate(attributes)],
+        )
 
-def false_null_count(
-    misclassified: DataFrame, dataset: DataFrame, attribute: str
-) -> int:
-    """falseNullCount(a): misclassified pairs with >=1 null in ``a``."""
-    pa = _pair_attrs(misclassified, dataset, attribute)
-    return pa.filter(F.col("_a1").isNull() | F.col("_a2").isNull()).count()
-
-
-def false_equal_count(
-    misclassified: DataFrame, dataset: DataFrame, attribute: str
-) -> int:
-    """falseEqualCount(a): misclassified pairs equal (non-null) in ``a``."""
-    pa = _pair_attrs(misclassified, dataset, attribute)
-    return pa.filter(
-        F.col("_a1").isNotNull() & (F.col("_a1") == F.col("_a2"))
-    ).count()
-
-
-def null_ratio(misclassified: DataFrame, dataset: DataFrame, attribute: str) -> float:
-    nc = null_counts(dataset, attribute)
-    return false_null_count(misclassified, dataset, attribute) / nc if nc else 0.0
-
-
-def equal_ratio(misclassified: DataFrame, dataset: DataFrame, attribute: str) -> float:
-    ec = equal_counts(dataset, attribute)
-    return false_equal_count(misclassified, dataset, attribute) / ec if ec else 0.0
+    pairs = misclassified.select("id1", "id2").join(side(1), "id1").join(side(2), "id2")
+    ends = [(F.col(f"_1_{i}"), F.col(f"_2_{i}")) for i in range(len(attributes))]
+    return pairs.agg(
+        *[
+            F.count_if(x.isNull() | y.isNull()).alias(f"_fn{i}")
+            for i, (x, y) in enumerate(ends)
+        ],
+        *[F.count_if(x == y).alias(f"_fe{i}") for i, (x, y) in enumerate(ends)],
+    )
 
 
 def attribute_influence_report(
@@ -89,14 +80,25 @@ def attribute_influence_report(
     ``misclassified`` is FP ∪ FN as a canonical pair set. Columns:
     nullCount, falseNullCount, nullRatio, equalCount, falseEqualCount,
     equalRatio. Attributes default to every non-``rid`` column.
+
+    nullCount(a) = C(n, 2) − C(n_nonnull(a), 2), and equalCount(a) =
+    Σ_v C(count(v), 2) over the non-null values v of ``a``. One aggregate
+    over the records and one join of the misclassified pairs serve every
+    attribute, in a single Spark action.
     """
     attributes = attributes or [c for c in dataset.columns if c != "rid"]
+    row = (
+        _value_counts(dataset, attributes)
+        .crossJoin(_false_counts(misclassified, dataset, attributes))
+        .first()
+    )
+    n = row["_n"] or 0
     rows = []
-    for a in attributes:
-        nc = null_counts(dataset, a)
-        fnc = false_null_count(misclassified, dataset, a)
-        ec = equal_counts(dataset, a)
-        fec = false_equal_count(misclassified, dataset, a)
+    for i, a in enumerate(attributes):
+        nn = row[f"_nn{i}"] or 0
+        nc = n * (n - 1) // 2 - nn * (nn - 1) // 2
+        ec = (row[f"_eq{i}"] or 0) // 2
+        fnc, fec = row[f"_fn{i}"], row[f"_fe{i}"]
         rows.append(
             {
                 "attribute": a,

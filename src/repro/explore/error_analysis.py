@@ -21,11 +21,12 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.text import words
+
 
 def token_jaccard_sim(a: Column, b: Column) -> Column:
     """Whitespace-token Jaccard similarity of two string columns (null -> 0)."""
-    ta = F.array_distinct(F.filter(F.split(F.coalesce(a, F.lit("")), r"\s+"), lambda t: t != ""))
-    tb = F.array_distinct(F.filter(F.split(F.coalesce(b, F.lit("")), r"\s+"), lambda t: t != ""))
+    ta, tb = F.array_distinct(words(a)), F.array_distinct(words(b))
     inter = F.size(F.array_intersect(ta, tb))
     union = F.size(F.array_union(ta, tb))
     return F.when(union > 0, inter / union).otherwise(F.lit(0.0))

@@ -8,8 +8,10 @@ matcher fails on them, that is interesting.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
+
+from repro.text import words
 
 
 def sort_by_similarity(scored: DataFrame, descending: bool = True) -> DataFrame:
@@ -18,76 +20,60 @@ def sort_by_similarity(scored: DataFrame, descending: bool = True) -> DataFrame:
     return scored.orderBy(col, "id1", "id2")
 
 
-def _tokens(col: str):
-    # Whitespace tokenization of non-null string cells, empty tokens dropped.
-    return F.filter(
-        F.split(F.coalesce(F.col(col).cast("string"), F.lit("")), r"\s+"),
-        lambda t: t != "",
-    )
+def _token_entropy(dataset: DataFrame, attributes: list[str]) -> DataFrame:
+    """``(rid, entropy)`` of the records with a token in ``attributes``.
 
-
-def cell_entropy(dataset: DataFrame, attribute: str) -> DataFrame:
-    """Entropy of every cell of ``attribute`` (paper formula, §4.3.2).
-
-    cellEntropy = Σ_t prob_t · (−log columnProb_t), where prob_t is the
-    token's frequency within the cell and columnProb_t its frequency over
-    all tokens of the column. Returns ``(rid, entropy)``; null/empty cells
-    score 0.
+    One row per token occurrence ``(rid, attr, token, cell_n)``, with
+    ``cell_n`` the cell's token count; one (attr, token) count ``in_col``
+    with the attribute's total ``col_n``. A cell's entropy is the mean, over
+    its token occurrences, of ``log col_n − log in_col``, which equals the
+    paper's Σ_t prob_t · (−log columnProb_t).
     """
-    toks = (
-        dataset.select("rid", F.explode(_tokens(attribute)).alias("token"))
+    cells = F.array(
+        *[
+            F.struct(F.lit(a).alias("attr"), words(F.col(a)).alias("toks"))
+            for a in attributes
+        ]
     )
-    cell_counts = toks.groupBy("rid", "token").agg(F.count("*").alias("in_cell"))
-    cell_total = toks.groupBy("rid").agg(F.count("*").alias("cell_n"))
-    col_counts = toks.groupBy("token").agg(F.count("*").alias("in_col"))
-    col_total = toks.agg(F.count("*").alias("col_n"))
-    per_token = (
-        cell_counts.join(cell_total, "rid")
-        .join(col_counts, "token")
-        .crossJoin(col_total)
-        .withColumn(
-            "contrib",
-            (F.col("in_cell") / F.col("cell_n"))
-            * -F.log(F.col("in_col") / F.col("col_n")),
-        )
+    occ = dataset.select("rid", F.inline(cells)).select(
+        "rid", "attr", F.size("toks").alias("cell_n"), F.explode("toks").alias("token")
     )
-    ent = per_token.groupBy("rid").agg(F.sum("contrib").alias("entropy"))
-    return (
-        dataset.select("rid")
-        .join(ent, "rid", "left")
-        .withColumn("entropy", F.coalesce("entropy", F.lit(0.0)))
+    in_col = (
+        occ.groupBy("attr", "token")
+        .agg(F.count("*").alias("in_col"))
+        .withColumn("col_n", F.sum("in_col").over(Window.partitionBy("attr")))
+    )
+    return occ.join(in_col, ["attr", "token"]).groupBy("rid").agg(
+        F.sum((F.log("col_n") - F.log("in_col")) / F.col("cell_n")).alias("entropy")
     )
 
 
 def record_entropy(dataset: DataFrame, attributes: list[str]) -> DataFrame:
-    """Sum of cell entropies over ``attributes`` for each record."""
-    out = dataset.select("rid").withColumn("entropy", F.lit(0.0))
-    for a in attributes:
-        ce = cell_entropy(dataset, a).withColumnRenamed("entropy", f"_e_{a}")
-        out = out.join(ce, "rid").withColumn(
-            "entropy", F.col("entropy") + F.col(f"_e_{a}")
-        ).drop(f"_e_{a}")
-    return out
+    """§4.3.2 — ``(rid, entropy)``: the sum of a record's cell entropies.
+
+    cellEntropy = Σ_t prob_t · (−log columnProb_t), where prob_t is the
+    token's frequency within the cell and columnProb_t its frequency over
+    all tokens of the column. Null/empty cells score 0.
+    """
+    ent = _token_entropy(dataset, attributes)
+    return dataset.select("rid").join(ent, "rid", "left").select(
+        "rid", F.coalesce("entropy", F.lit(0.0)).alias("entropy")
+    )
 
 
 def pair_entropy(
     pairs: DataFrame, dataset: DataFrame, attributes: list[str]
 ) -> DataFrame:
-    """§4.3.2 — pair entropy = sum of both records' cell entropies.
+    """§4.3.2 — pair entropy = sum of both records' entropies.
 
-    Adds an ``entropy`` column to ``pairs`` for interestingness sorting.
+    Adds an ``entropy`` column to the canonical pair set ``pairs`` for
+    interestingness sorting: each pair is split into its two ends, joined
+    once with the record entropies, and summed.
     """
-    rec = record_entropy(dataset, attributes)
-    e1 = rec.select(F.col("rid").alias("id1"), F.col("entropy").alias("_e1"))
-    e2 = rec.select(F.col("rid").alias("id2"), F.col("entropy").alias("_e2"))
-    return (
-        pairs.join(e1, "id1", "left")
-        .join(e2, "id2", "left")
-        .withColumn(
-            "entropy",
-            F.coalesce("_e1", F.lit(0.0)) + F.coalesce("_e2", F.lit(0.0)),
-        )
-        .drop("_e1", "_e2")
+    ends = pairs.select(*pairs.columns, F.explode(F.array("id1", "id2")).alias("rid"))
+    ent = _token_entropy(dataset, attributes)
+    return ends.join(ent, "rid", "left").groupBy(*pairs.columns).agg(
+        F.sum(F.coalesce("entropy", F.lit(0.0))).alias("entropy")
     )
 
 

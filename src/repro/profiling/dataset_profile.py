@@ -22,50 +22,37 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.text import words
+
 
 def _attr_cols(dataset: DataFrame, attributes: list[str] | None) -> list[str]:
     return attributes or [c for c in dataset.columns if c != "rid"]
 
 
+def _profile(dataset: DataFrame, attributes: list[str] | None) -> dict[str, float]:
+    """SP, TX and TC from one aggregate over ``dataset``."""
+    attrs = _attr_cols(dataset, attributes)
+    n, values, n_words = dataset.agg(
+        F.count("*"),
+        sum((F.count(a) for a in attrs), F.lit(0)),
+        sum((F.sum(F.size(words(F.col(a)))) for a in attrs), F.lit(0)),
+    ).first()
+    cells = n * len(attrs)
+    return {
+        "SP": (cells - values) / cells if cells else 0.0,
+        "TX": n_words / values if values else 0.0,
+        "TC": float(n),
+    }
+
+
 def sparsity(dataset: DataFrame, attributes: list[str] | None = None) -> float:
     """SP: missing attribute values / all attribute values, in [0, 1]."""
-    attrs = _attr_cols(dataset, attributes)
-    n = dataset.count()
-    if not n or not attrs:
-        return 0.0
-    nulls = dataset.select(
-        [F.sum(F.col(a).isNull().cast("int")).alias(a) for a in attrs]
-    ).first()
-    return sum(nulls[a] for a in attrs) / (n * len(attrs))
+    return _profile(dataset, attributes)["SP"]
 
 
 def textuality(dataset: DataFrame, attributes: list[str] | None = None) -> float:
     """TX: average word count of non-null attribute values."""
-    attrs = _attr_cols(dataset, attributes)
-    counts = []
-    for a in attrs:
-        words = F.size(
-            F.filter(
-                F.split(F.trim(F.col(a).cast("string")), r"\s+"),
-                lambda t: t != "",
-            )
-        )
-        counts.append(
-            dataset.filter(F.col(a).isNotNull()).select(
-                F.sum(words).alias("w"), F.count("*").alias("n")
-            )
-        )
-    from functools import reduce
-
-    total = reduce(lambda x, y: x.unionByName(y), counts).agg(
-        F.sum("w").alias("w"), F.sum("n").alias("n")
-    ).first()
-    return float(total["w"]) / float(total["n"]) if total["n"] else 0.0
-
-
-def tuple_count(dataset: DataFrame) -> int:
-    """TC: number of records."""
-    return dataset.count()
+    return _profile(dataset, attributes)["TX"]
 
 
 def positive_ratio(
@@ -87,17 +74,8 @@ def positive_ratio(
 def vocabulary(dataset: DataFrame, attributes: list[str] | None = None) -> DataFrame:
     """The whitespace-token vocabulary set of a dataset, as a 1-column DF."""
     attrs = _attr_cols(dataset, attributes)
-    text = F.concat_ws(
-        " ", *[F.coalesce(F.col(a).cast("string"), F.lit("")) for a in attrs]
-    )
-    return (
-        dataset.select(
-            F.explode(F.filter(F.split(text, r"\s+"), lambda t: t != "")).alias(
-                "token"
-            )
-        )
-        .distinct()
-    )
+    text = F.concat_ws(" ", *[F.col(a).cast("string") for a in attrs])
+    return dataset.select(F.explode(words(text)).alias("token")).distinct()
 
 
 def vocabulary_similarity(
@@ -107,11 +85,11 @@ def vocabulary_similarity(
     attributes2: list[str] | None = None,
 ) -> float:
     """VS(D1, D2): Jaccard coefficient of the two vocabularies (§3.1.3)."""
-    v1 = vocabulary(d1, attributes1).cache()
-    v2 = vocabulary(d2, attributes2).cache()
-    inter = v1.join(v2, "token").count()
-    union = v1.count() + v2.count() - inter
-    v1.unpersist(), v2.unpersist()
+    v1 = vocabulary(d1, attributes1).withColumn("_in1", F.lit(True))
+    v2 = vocabulary(d2, attributes2).withColumn("_in2", F.lit(True))
+    inter, union = v1.join(v2, "token", "full").agg(
+        F.count_if(F.col("_in1") & F.col("_in2")), F.count("*")
+    ).first()
     return inter / union if union else 0.0
 
 
@@ -122,16 +100,12 @@ def profile_dataset(
     attributes: list[str] | None = None,
 ) -> dict[str, float]:
     """SP/TX/TC(/PR) of one dataset — one Table-2 column."""
-    out: dict[str, float] = {
-        "SP": sparsity(dataset, attributes),
-        "TX": textuality(dataset, attributes),
-        "TC": float(tuple_count(dataset)),
-    }
+    out = _profile(dataset, attributes)
     if gold_pairs is not None:
         out["PR"] = positive_ratio(
             gold_pairs,
             labeled_pairs=labeled_pairs,
-            n_records=None if labeled_pairs is not None else tuple_count(dataset),
+            n_records=None if labeled_pairs is not None else int(out["TC"]),
         )
     return out
 

@@ -17,74 +17,80 @@ def dataset(spark):
 
 
 def _pairs(spark, rows):
-    return spark.createDataFrame(pd.DataFrame(rows, columns=["id1", "id2"]))
+    return spark.createDataFrame(rows, "id1 string, id2 string")
+
+
+def _row(spark, dataset, attribute, mis=None):
+    """The report row of one attribute, by default with no misclassified pair."""
+    mis = _pairs(spark, []) if mis is None else mis
+    return A.attribute_influence_report(mis, dataset, [attribute]).iloc[0]
 
 
 class TestNullCounts:
     def test_closed_form(self, spark, dataset):
         # name: r4 null -> pairs with r4: 3 of C(4,2)=6.
-        assert A.null_counts(dataset, "name") == 3
+        assert _row(spark, dataset, "name")["nullCount"] == 3
         # city: r2 null -> 3 pairs.
-        assert A.null_counts(dataset, "city") == 3
+        assert _row(spark, dataset, "city")["nullCount"] == 3
 
     def test_no_nulls(self, spark):
         ds = spark.createDataFrame(
             pd.DataFrame([("a", "x"), ("b", "y")], columns=["rid", "v"])
         )
-        assert A.null_counts(ds, "v") == 0
+        assert _row(spark, ds, "v")["nullCount"] == 0
 
     def test_all_null(self, spark):
         ds = spark.createDataFrame(
             pd.DataFrame([("a", None), ("b", None), ("c", None)], columns=["rid", "v"])
         )
-        assert A.null_counts(ds, "v") == 3
+        assert _row(spark, ds, "v")["nullCount"] == 3
 
 
 class TestEqualCounts:
     def test_value_groups(self, spark, dataset):
         # name: alice x2 -> 1 pair; city: berlin x2 -> 1 pair.
-        assert A.equal_counts(dataset, "name") == 1
-        assert A.equal_counts(dataset, "city") == 1
+        assert _row(spark, dataset, "name")["equalCount"] == 1
+        assert _row(spark, dataset, "city")["equalCount"] == 1
 
     def test_nulls_not_equal(self, spark):
         ds = spark.createDataFrame(
             pd.DataFrame([("a", None), ("b", None)], columns=["rid", "v"])
         )
-        assert A.equal_counts(ds, "v") == 0
+        assert _row(spark, ds, "v")["equalCount"] == 0
 
     def test_triple_group(self, spark):
         ds = spark.createDataFrame(
             pd.DataFrame([("a", "x"), ("b", "x"), ("c", "x")], columns=["rid", "v"])
         )
-        assert A.equal_counts(ds, "v") == 3
+        assert _row(spark, ds, "v")["equalCount"] == 3
 
 
 class TestFalseCountsAndRatios:
     def test_false_null_count(self, spark, dataset):
         mis = _pairs(spark, [("r1", "r4"), ("r1", "r3")])
         # (r1,r4): r4 name is null -> counts; (r1,r3): both non-null.
-        assert A.false_null_count(mis, dataset, "name") == 1
+        assert _row(spark, dataset, "name", mis)["falseNullCount"] == 1
 
     def test_false_equal_count(self, spark, dataset):
         mis = _pairs(spark, [("r1", "r2"), ("r1", "r3")])
         # (r1,r2): names equal -> counts; (r1,r3): alice vs bob.
-        assert A.false_equal_count(mis, dataset, "name") == 1
+        assert _row(spark, dataset, "name", mis)["falseEqualCount"] == 1
 
     def test_null_ratio(self, spark, dataset):
         mis = _pairs(spark, [("r1", "r4")])
-        assert A.null_ratio(mis, dataset, "name") == pytest.approx(1 / 3)
+        assert _row(spark, dataset, "name", mis)["nullRatio"] == pytest.approx(1 / 3)
 
     def test_equal_ratio(self, spark, dataset):
         mis = _pairs(spark, [("r1", "r2")])
-        assert A.equal_ratio(mis, dataset, "name") == pytest.approx(1.0)
+        assert _row(spark, dataset, "name", mis)["equalRatio"] == pytest.approx(1.0)
 
     def test_zero_denominator_gives_zero(self, spark):
         ds = spark.createDataFrame(
             pd.DataFrame([("a", "x"), ("b", "y")], columns=["rid", "v"])
         )
         mis = _pairs(spark, [("a", "b")])
-        assert A.null_ratio(mis, ds, "v") == 0.0
-        assert A.equal_ratio(mis, ds, "v") == 0.0
+        assert _row(spark, ds, "v", mis)["nullRatio"] == 0.0
+        assert _row(spark, ds, "v", mis)["equalRatio"] == 0.0
 
 
 class TestInfluenceReport:
@@ -119,7 +125,7 @@ class TestInfluenceReport:
             a, b = f"r{min(i, j)}", f"r{max(i, j)}"
             mis_rows.append((a, b))
         mis = _pairs(spark, list(set(mis_rows)))
-        got = A.false_equal_count(mis, ds, "v")
+        got = _row(spark, ds, "v", mis)["falseEqualCount"]
         import duckdb
 
         con = duckdb.connect()
@@ -134,3 +140,57 @@ class TestInfluenceReport:
         ).fetchone()[0]
         con.close()
         assert got == expected
+
+
+class TestReportAgainstDuckDB:
+    """Every count of the report against DuckDB's pair-by-pair definition."""
+
+    def test_string_and_double_columns(self, spark):
+        import duckdb
+        import numpy as np
+        import pyarrow as pa
+
+        rng = np.random.default_rng(11)
+        names = ["ab", "cd", "ef", None]
+        prices = [0.0, -0.0, 1.5, 2.25, None]
+        rows = [
+            (
+                f"r{i:02d}",
+                names[int(rng.integers(0, len(names)))],
+                prices[int(rng.integers(0, len(prices)))],
+            )
+            for i in range(40)
+        ]
+        ds = spark.createDataFrame(rows, "rid string, name string, price double")
+        rids = [r[0] for r in rows]
+        mis_rows = sorted(
+            {tuple(sorted(rng.choice(rids, 2, replace=False))) for _ in range(60)}
+        )
+        mis = _pairs(spark, mis_rows)
+        rep = A.attribute_influence_report(mis, ds).set_index("attribute")
+        assert list(rep.index) == ["name", "price"]
+
+        con = duckdb.connect()
+        columns = zip(("rid", "name", "price"), zip(*rows))
+        con.register("ds", pa.table({k: list(v) for k, v in columns}))
+        con.register("mis", pa.table(dict(zip(("id1", "id2"), map(list, zip(*mis_rows))))))
+        for a in ("name", "price"):
+            want = con.execute(
+                f"""
+                SELECT
+                  (SELECT count(*) FROM ds x JOIN ds y ON x.rid < y.rid
+                   WHERE x.{a} IS NULL OR y.{a} IS NULL),
+                  (SELECT count(*) FROM mis m JOIN ds x ON m.id1 = x.rid
+                   JOIN ds y ON m.id2 = y.rid WHERE x.{a} IS NULL OR y.{a} IS NULL),
+                  (SELECT count(*) FROM ds x JOIN ds y ON x.rid < y.rid
+                   WHERE x.{a} = y.{a}),
+                  (SELECT count(*) FROM mis m JOIN ds x ON m.id1 = x.rid
+                   JOIN ds y ON m.id2 = y.rid WHERE x.{a} = y.{a})
+                """
+            ).fetchone()
+            cols = ["nullCount", "falseNullCount", "equalCount", "falseEqualCount"]
+            assert tuple(int(v) for v in rep.loc[a, cols]) == want, a
+        con.close()
+        # 0.0 and -0.0 are one value under the typed =; a string cast would split them.
+        zeros = sum(1 for r in rows if r[2] == 0.0)
+        assert zeros >= 2 and any(str(r[2]) == "-0.0" for r in rows)

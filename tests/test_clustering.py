@@ -162,6 +162,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="MAX_EDGES = 3"):
             _components(spark, edges, nodes)
 
+    def test_unknown_id_raises_naming_it(self, spark):
+        # "c" and "e" are matched but are no records; the least one is named.
+        with pytest.raises(ValueError, match=r"pair id 'c' is not a rid"):
+            _components(spark, [("a", "e"), ("b", "c"), ("a", "b")], list("abd"))
+        assert _components(spark, [("a", "b")], list("abd"))[0] == [(1, ("d",)), (2, ("a", "b"))]
+
     def test_duplicate_rows_count_once_against_the_guard(self, spark, monkeypatch):
         monkeypatch.setattr(CL, "MAX_EDGES", 1)
         assert _components(spark, [("a", "b"), ("a", "b")], list("ab"))[0] == [(2, ("a", "b"))]

@@ -127,3 +127,40 @@ class TestProfileAndMatrix:
         )
         assert list(m.columns) == ["X2", "Z2"]
         assert m.loc["TX", "X2"] == 28.0
+
+
+class TestProfileAgainstDuckDB:
+    def test_with_an_all_null_column(self, spark):
+        import duckdb
+        import pyarrow as pa
+
+        rows = [
+            ("a", "one two", 1.5, None),
+            ("b", None, None, None),
+            ("c", "  three\tfour five ", -0.0, None),
+            ("d", "", 2.0, None),
+            ("e", "six", None, None),
+        ]
+        cols = ["rid", "title", "price", "brand"]
+        ds = spark.createDataFrame(rows, "rid string, title string, price double, brand string")
+        gold = _ds(spark, [("a", "c"), ("b", "d")], ("id1", "id2"))
+        got = DP.profile_dataset(ds, gold)
+
+        t = pa.table({k: list(v) for k, v in zip(cols, zip(*rows))})
+        attrs = cols[1:]
+        nulls, n = duckdb.sql(
+            "SELECT " + " + ".join(f"count(*) - count({a})" for a in attrs)
+            + ", count(*) FROM t"
+        ).fetchone()
+        values = " UNION ALL ".join(
+            f"SELECT CAST({a} AS VARCHAR) AS v FROM t WHERE {a} IS NOT NULL" for a in attrs
+        )
+        tx = duckdb.sql(
+            "SELECT avg(len(list_filter(string_split_regex(v, '\\s+'), w -> w <> '')))"
+            f" FROM ({values})"
+        ).fetchone()[0]
+        assert got["TC"] == n == 5
+        assert got["SP"] == pytest.approx(nulls / (n * len(attrs)))
+        assert got["TX"] == pytest.approx(tx)
+        assert got["PR"] == pytest.approx(2 / (n * (n - 1) // 2))
+        assert DP.sparsity(ds) == got["SP"] and DP.textuality(ds) == got["TX"]

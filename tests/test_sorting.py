@@ -33,6 +33,8 @@ class TestSortBySimilarity:
 
 
 class TestCellEntropy:
+    """One attribute: the record entropy is that cell's entropy."""
+
     def test_unique_token_has_higher_entropy_than_common(self, spark):
         # "rare" appears once in the column, "common" 3 times.
         ds = _ds(
@@ -40,12 +42,12 @@ class TestCellEntropy:
             [("r1", "common"), ("r2", "common"), ("r3", "common rare")],
             ("rid", "name"),
         )
-        ent = {r["rid"]: r["entropy"] for r in SO.cell_entropy(ds, "name").collect()}
+        ent = {r["rid"]: r["entropy"] for r in SO.record_entropy(ds, ["name"]).collect()}
         assert ent["r3"] > ent["r1"]
 
     def test_null_cell_scores_zero(self, spark):
         ds = _ds(spark, [("r1", "word"), ("r2", None)], ("rid", "name"))
-        ent = {r["rid"]: r["entropy"] for r in SO.cell_entropy(ds, "name").collect()}
+        ent = {r["rid"]: r["entropy"] for r in SO.record_entropy(ds, ["name"]).collect()}
         assert ent["r2"] == 0.0
 
     def test_exact_value_single_token_cells(self, spark):
@@ -55,14 +57,14 @@ class TestCellEntropy:
             [("r1", "x"), ("r2", "x"), ("r3", "y"), ("r4", "z")],
             ("rid", "name"),
         )
-        ent = {r["rid"]: r["entropy"] for r in SO.cell_entropy(ds, "name").collect()}
+        ent = {r["rid"]: r["entropy"] for r in SO.record_entropy(ds, ["name"]).collect()}
         assert ent["r1"] == pytest.approx(-math.log(2 / 4))
         assert ent["r3"] == pytest.approx(-math.log(1 / 4))
 
     def test_cell_token_probabilities_weight(self, spark):
         # Cell "x x y": prob_x=2/3, prob_y=1/3; column has 4 tokens (x:3,y:1).
         ds = _ds(spark, [("r1", "x x y"), ("r2", "x")], ("rid", "name"))
-        ent = {r["rid"]: r["entropy"] for r in SO.cell_entropy(ds, "name").collect()}
+        ent = {r["rid"]: r["entropy"] for r in SO.record_entropy(ds, ["name"]).collect()}
         expected = (2 / 3) * -math.log(3 / 4) + (1 / 3) * -math.log(1 / 4)
         assert ent["r1"] == pytest.approx(expected)
 
@@ -97,3 +99,33 @@ class TestPairEntropy:
         one = SO.record_entropy(ds, ["a"]).collect()[0]["entropy"]
         both = SO.record_entropy(ds, ["a", "b"]).collect()[0]["entropy"]
         assert both == pytest.approx(2 * one)
+
+
+class TestRecordEntropyAgainstPandas:
+    def test_paper_formula_over_several_attributes(self, spark):
+        from collections import Counter
+
+        rows = [
+            ("r1", "red  apple", "fruit shop", None),
+            ("r2", "red red pear", None, "a b"),
+            ("r3", None, "shop", "b"),
+            ("r4", "\tgreen apple ", "fruit", ""),
+            ("r5", "", "fruit fruit shop", "a a a c"),
+        ]
+        attrs = ["name", "store", "tags"]
+        pdf = pd.DataFrame(rows, columns=["rid", *attrs])
+        ds = spark.createDataFrame(rows, "rid string, name string, store string, tags string")
+
+        # cellEntropy = Σ_t prob_t · (−log columnProb_t), summed over attributes.
+        want = dict.fromkeys(pdf.rid, 0.0)
+        for a in attrs:
+            cells = {r: (v or "").split() for r, v in zip(pdf.rid, pdf[a])}
+            col = Counter(t for toks in cells.values() for t in toks)
+            col_n = sum(col.values())
+            for r, toks in cells.items():
+                for t, c in Counter(toks).items():
+                    want[r] += c / len(toks) * -math.log(col[t] / col_n)
+
+        got = {r["rid"]: r["entropy"] for r in SO.record_entropy(ds, attrs).collect()}
+        assert got == pytest.approx(want)
+        assert got["r3"] > 0 and want["r1"] != want["r2"]

@@ -1,4 +1,4 @@
-"""Spark jobs per evaluation view: one pass, whatever the number of experiments.
+"""Spark jobs per view: one pass, whatever the number of experiments or attributes.
 
 Jobs are counted through a job group and the status tracker, after the
 listener bus that fills the tracker has been drained.
@@ -9,7 +9,8 @@ import uuid
 import pytest
 
 from repro.core import confusion, noground
-from repro.explore import setops, sorting
+from repro.explore import attributes, setops, sorting
+from repro.profiling import dataset_profile
 
 
 def _jobs(spark, run) -> int:
@@ -87,3 +88,48 @@ def test_closure_violation_count_is_one_collect(spark, inputs):
 def test_building_sort_by_entropy_starts_no_job(spark, inputs):
     _, exps, records = inputs
     assert _jobs(spark, lambda: sorting.sort_by_entropy(exps[0], records, ["name"])) == 0
+
+
+@pytest.fixture(scope="module")
+def wide_records(spark):
+    """120 records with four attributes: three strings and a double."""
+    rng = random.Random(9)
+    rows = [
+        (
+            f"r{i:03d}",
+            f"tok{rng.randrange(9)} tok{rng.randrange(9)}",
+            rng.choice([None, "berlin", "hamburg"]),
+            rng.choice([None, "x y", "y z w"]),
+            rng.choice([None, 0.0, -0.0, 1.5]),
+        )
+        for i in range(120)
+    ]
+    records = spark.createDataFrame(
+        rows, "rid string, name string, city string, tags string, price double"
+    ).cache()
+    records.count()
+    yield records
+    records.unpersist()
+
+
+RECORD_VIEWS = {
+    "attribute_influence_report": lambda exps, records, attrs: (
+        attributes.attribute_influence_report(exps[0], records, attrs)
+    ),
+    "sort_by_entropy": lambda exps, records, attrs: (
+        sorting.sort_by_entropy(exps[0], records, attrs).collect()
+    ),
+    "profile_dataset": lambda exps, records, attrs: (
+        dataset_profile.profile_dataset(records, exps[0], attributes=attrs)
+    ),
+}
+
+
+@pytest.mark.parametrize("view", sorted(RECORD_VIEWS))
+def test_jobs_do_not_grow_with_attributes(spark, inputs, wide_records, view):
+    _, exps, _ = inputs
+    run = RECORD_VIEWS[view]
+    attrs = ["name", "city", "tags", "price"]
+    assert _jobs(spark, lambda: run(exps, wide_records, attrs[:1])) == _jobs(
+        spark, lambda: run(exps, wide_records, attrs)
+    )
