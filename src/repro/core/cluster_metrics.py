@@ -21,6 +21,8 @@ from typing import Callable
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pairs import pair_count_of_clustering
+
 
 def _intersections(exp: DataFrame, truth: DataFrame) -> DataFrame:
     """Sizes of all nonempty intersections between exp and truth clusters.
@@ -130,22 +132,13 @@ def pairwise_from_gmd(exp: DataFrame, truth: DataFrame) -> dict[str, float]:
     split=x·y) / |pairs(E)| and recall = 1 - GMD(E,T; merge=x·y, split=0)
     / |pairs(T)|. Used as a cross-check of the pair-based path.
     """
-    def pair_count(clustering: DataFrame) -> float:
-        row = (
-            clustering.groupBy("cluster")
-            .agg(F.count("*").alias("n"))
-            .agg(F.sum(F.col("n") * (F.col("n") - 1) / 2))
-            .first()
-        )
-        return float(row[0] or 0.0)
-
     split_only = generalized_merge_distance(
         exp, truth, merge_cost=lambda x, y: 0.0, split_cost=lambda x, y: float(x * y)
     )
     merge_only = generalized_merge_distance(
         exp, truth, merge_cost=lambda x, y: float(x * y), split_cost=lambda x, y: 0.0
     )
-    ep, tp_ = pair_count(exp), pair_count(truth)
+    ep, tp_ = pair_count_of_clustering(exp), pair_count_of_clustering(truth)
     p = 1.0 - split_only / ep if ep else 0.0
     r = 1.0 - merge_only / tp_ if tp_ else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0

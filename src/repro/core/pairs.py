@@ -45,6 +45,35 @@ def canonicalize(pairs: DataFrame, id1: str = "id1", id2: str = "id2") -> DataFr
     return out.select("id1", "id2", *extra)
 
 
+def with_records(
+    pairs: DataFrame, records: DataFrame, columns: list[str], how: str = "inner"
+) -> DataFrame:
+    """``pairs`` plus ``a_<col>`` and ``b_<col>`` from the records behind ``id1`` and ``id2``.
+
+    The one pair→record join of the codebase. ``records`` is projected to
+    ``rid`` and ``columns`` and broadcast to both joins, so the pair table
+    is never shuffled for them and keeps its partitioning: a result
+    partitioned on ``(id1, id2)`` stays so for later joins and aggregates
+    on the pair key. Assumes the selected record columns fit in each
+    executor's memory (as ``clustering.MAX_EDGES`` bounds the matches held
+    on the driver). ``how`` is ``inner`` or ``left``.
+    """
+    def side(key: str, prefix: str) -> DataFrame:
+        return F.broadcast(
+            records.select(
+                F.col("rid").alias(key), *[F.col(c).alias(f"{prefix}_{c}") for c in columns]
+            )
+        )
+
+    return (
+        pairs.join(side("id1", "a"), "id1", how)
+        .join(side("id2", "b"), "id2", how)
+        .select(
+            *pairs.columns, *[f"a_{c}" for c in columns], *[f"b_{c}" for c in columns]
+        )
+    )
+
+
 def pairs_from_clustering(clustering: DataFrame) -> DataFrame:
     """All intra-cluster pairs of a clustering ``(rid, cluster)``.
 

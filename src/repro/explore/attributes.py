@@ -22,6 +22,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pairs import with_records
+
 
 def _value_counts(dataset: DataFrame, attributes: list[str]) -> DataFrame:
     """One row: n and, per attribute i, ``_nn{i}`` non-null values and
@@ -54,15 +56,8 @@ def _false_counts(
 ) -> DataFrame:
     """One row: per attribute i, ``_fn{i}`` misclassified pairs with a null
     and ``_fe{i}`` misclassified pairs equal (non-null) in it."""
-
-    def side(k: int) -> DataFrame:
-        return dataset.select(
-            F.col("rid").alias(f"id{k}"),
-            *[F.col(a).alias(f"_{k}_{i}") for i, a in enumerate(attributes)],
-        )
-
-    pairs = misclassified.select("id1", "id2").join(side(1), "id1").join(side(2), "id2")
-    ends = [(F.col(f"_1_{i}"), F.col(f"_2_{i}")) for i in range(len(attributes))]
+    pairs = with_records(misclassified.select("id1", "id2"), dataset, attributes)
+    ends = [(F.col(f"a_{a}"), F.col(f"b_{a}")) for a in attributes]
     return pairs.agg(
         *[
             F.count_if(x.isNull() | y.isNull()).alias(f"_fn{i}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pairs import with_records
 from repro.text import words
 
 
@@ -32,11 +33,11 @@ def token_jaccard_sim(a: Column, b: Column) -> Column:
     return F.when(union > 0, inter / union).otherwise(F.lit(0.0))
 
 
-def _record_text(dataset: DataFrame, attributes: list[str], alias: str) -> DataFrame:
+def _record_text(dataset: DataFrame, attributes: list[str]) -> DataFrame:
     text = F.concat_ws(
         " ", *[F.coalesce(F.col(a).cast("string"), F.lit("")) for a in attributes]
     )
-    return dataset.select(F.col("rid").alias(alias), text.alias(f"{alias}_text"))
+    return dataset.select("rid", text.alias("text"))
 
 
 def nearest_correct_pairs(
@@ -56,19 +57,17 @@ def nearest_correct_pairs(
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError("q must be in [1, 2]")
-    texts = {}
-    for alias in ("f1", "f2", "t1", "t2"):
-        texts[alias] = _record_text(dataset, attributes, alias)
-    f = (
-        misclassified.select(F.col("id1").alias("f1"), F.col("id2").alias("f2"))
-        .join(texts["f1"], "f1")
-        .join(texts["f2"], "f2")
-    )
-    t = (
-        correct.select(F.col("id1").alias("t1"), F.col("id2").alias("t2"))
-        .join(texts["t1"], "t1")
-        .join(texts["t2"], "t2")
-    )
+    texts = _record_text(dataset, attributes)
+
+    def with_texts(pairs: DataFrame, p: str) -> DataFrame:
+        return with_records(pairs.select("id1", "id2"), texts, ["text"]).select(
+            F.col("id1").alias(f"{p}1"),
+            F.col("id2").alias(f"{p}2"),
+            F.col("a_text").alias(f"{p}1_text"),
+            F.col("b_text").alias(f"{p}2_text"),
+        )
+
+    f, t = with_texts(misclassified, "f"), with_texts(correct, "t")
     joined = f.crossJoin(t)
     # Exclude the trivial self-candidate when a pair is (incorrectly) in both.
     joined = joined.filter(~((F.col("f1") == F.col("t1")) & (F.col("f2") == F.col("t2"))))

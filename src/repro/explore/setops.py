@@ -14,6 +14,8 @@ from functools import reduce
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pairs import with_records
+
 
 def tag_memberships(experiments: dict[str, DataFrame]) -> DataFrame:
     """Union of all pairs with one 0/1 membership column per experiment.
@@ -115,10 +117,4 @@ def enrich_with_records(pairs: DataFrame, dataset: DataFrame) -> DataFrame:
     prefixed ``a_`` and ``b_``.
     """
     attrs = [c for c in dataset.columns if c != "rid"]
-    a = dataset.select(
-        F.col("rid").alias("id1"), *[F.col(c).alias(f"a_{c}") for c in attrs]
-    )
-    b = dataset.select(
-        F.col("rid").alias("id2"), *[F.col(c).alias(f"b_{c}") for c in attrs]
-    )
-    return pairs.join(a, "id1", "left").join(b, "id2", "left")
+    return with_records(pairs, dataset, attrs, how="left")

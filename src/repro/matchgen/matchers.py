@@ -29,6 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.pairs import with_records
 from repro.matchgen.similarity import SIMILARITIES
 
 #: attribute -> similarity-function name, for the shared notebook schema.
@@ -47,13 +48,7 @@ def compute_features(
 ) -> DataFrame:
     """Per-pair similarity features ``f_<attr>`` (NULL when a side is NULL)."""
     attrs = list(features)
-    a = dataset.select(
-        F.col("rid").alias("id1"), *[F.col(c).alias(f"a_{c}") for c in attrs]
-    )
-    b = dataset.select(
-        F.col("rid").alias("id2"), *[F.col(c).alias(f"b_{c}") for c in attrs]
-    )
-    out = pairs.join(a, "id1").join(b, "id2")
+    out = with_records(pairs, dataset, attrs)
     for attr, simname in features.items():
         sim = SIMILARITIES[simname]
         out = out.withColumn(f"f_{attr}", sim(F.col(f"a_{attr}"), F.col(f"b_{attr}")))
@@ -97,11 +92,12 @@ class Matcher:
 
     def score(self, pairs: DataFrame, dataset: DataFrame) -> DataFrame:
         """Scored candidate pairs ``(id1, id2, ..., similarity)``."""
+        return self.score_features(compute_features(pairs, dataset, self.features))
+
+    def score_features(self, feats: DataFrame) -> DataFrame:
+        """``feats`` (from ``compute_features``) plus the ``similarity`` column."""
         weights = self.weights or {a: 1.0 for a in self.features}
-        feats = compute_features(pairs, dataset, self.features)
-        return feats.withColumn(
-            "similarity", _score_expr(weights, self.null_policy)
-        )
+        return feats.withColumn("similarity", _score_expr(weights, self.null_policy))
 
     def predict(self, pairs: DataFrame, dataset: DataFrame) -> DataFrame:
         """The experiment: candidate pairs scored at/above the threshold."""
@@ -156,6 +152,19 @@ def fit_threshold(scores: pd.Series, labels: pd.Series) -> tuple[float, float]:
     return float(grouped.index[best]), float(f1[best])
 
 
+#: hand-set weights of the ``rule`` and ``hybrid`` matcher kinds.
+_FIXED_WEIGHTS: dict[str, dict[str, float]] = {
+    "rule": {
+        "title": 0.25, "description": 0.25, "brand": 0.1,
+        "cpu": 0.2, "ram": 0.1, "hdd": 0.1,
+    },
+    "hybrid": {
+        "title": 0.4, "description": 0.2, "brand": 0.1,
+        "cpu": 0.1, "ram": 0.1, "hdd": 0.1,
+    },
+}
+
+
 def develop_matcher(
     name: str,
     train_pairs_with_labels: DataFrame,
@@ -177,34 +186,23 @@ def develop_matcher(
 
     In every case the threshold is fitted to maximise training f1.
     """
+    if kind != "ml" and kind not in _FIXED_WEIGHTS:
+        raise ValueError(f"unknown matcher kind {kind!r}")
     features = dict(features or DEFAULT_FEATURES)
     m = Matcher(name=name, features=features)
     feat_cols = [f"f_{a}" for a in features]
-    feats = compute_features(
-        train_pairs_with_labels, train_dataset, features
-    ).toPandas()
-    null_rate = float(feats[feat_cols].isna().mean().mean())
-    m.null_policy = "penalize" if null_rate < 0.25 else "renormalize"
-    if kind == "ml":
-        m.weights = fit_weights(feats, feat_cols)
-    elif kind == "rule":
-        m.weights = {
-            "title": 0.25, "description": 0.25, "brand": 0.1,
-            "cpu": 0.2, "ram": 0.1, "hdd": 0.1,
-        }
-        m.weights = {a: w for a, w in m.weights.items() if a in features}
-    elif kind == "hybrid":
-        m.weights = {
-            "title": 0.4, "description": 0.2, "brand": 0.1,
-            "cpu": 0.1, "ram": 0.1, "hdd": 0.1,
-        }
-        m.weights = {a: w for a, w in m.weights.items() if a in features}
-    else:
-        raise ValueError(f"unknown matcher kind {kind!r}")
-    # Threshold fit on training scores.
-    scored = Matcher(
-        name, features, m.weights, m.null_policy, 0.0
-    ).score(train_pairs_with_labels, train_dataset)
-    pdf = scored.select("similarity", "label").toPandas()
+    feats_df = compute_features(train_pairs_with_labels, train_dataset, features).cache()
+    try:
+        feats = feats_df.toPandas()
+        null_rate = float(feats[feat_cols].isna().mean().mean())
+        m.null_policy = "penalize" if null_rate < 0.25 else "renormalize"
+        if kind == "ml":
+            m.weights = fit_weights(feats, feat_cols)
+        else:
+            m.weights = {a: w for a, w in _FIXED_WEIGHTS[kind].items() if a in features}
+        # Threshold fit on training scores, from the same feature frame.
+        pdf = m.score_features(feats_df).select("similarity", "label").toPandas()
+    finally:
+        feats_df.unpersist()
     m.threshold, _ = fit_threshold(pdf["similarity"], pdf["label"])
     return m

@@ -1,25 +1,45 @@
 """Tests for the provided repro.oracle DuckDB equality checker."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data as SD
 from repro.oracle import assert_equivalent
 
 
+@pytest.fixture(scope="module")
+def frost_tables(spark):
+    """Deterministic Frost-shaped inputs: a clustering ``(rid, cluster)`` of
+    2 000 records into 500 clusters, and about 6 000 canonical scored pairs
+    ``(id1, id2, similarity)`` over those records."""
+    g = np.random.default_rng(0)
+    rids = np.array([f"r{i:04d}" for i in range(2000)])
+    clustering = pd.DataFrame({"rid": rids, "cluster": g.integers(0, 500, len(rids))})
+    ends = np.sort(g.integers(0, len(rids), (6100, 2)), axis=1)
+    ends = np.unique(ends[ends[:, 0] != ends[:, 1]], axis=0)
+    pairs = pd.DataFrame(
+        {
+            "id1": rids[ends[:, 0]],
+            "id2": rids[ends[:, 1]],
+            "similarity": g.random(len(ends)).round(3),
+        }
+    )
+    return spark.createDataFrame(clustering), spark.createDataFrame(pairs)
+
+
 class TestAssertEquivalent:
-    def test_accepts_matching_aggregate(self, spark):
-        li = SD.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("qty"), F.count("*").alias("cnt")
+    def test_accepts_matching_aggregate(self, frost_tables):
+        _, pairs = frost_tables
+        got = pairs.groupBy("id1").agg(
+            F.sum("similarity").alias("total"), F.count("*").alias("cnt")
         )
         assert_equivalent(
             got,
             """
-            SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS cnt
-            FROM lineitem GROUP BY l_returnflag
+            SELECT id1, sum(similarity) AS total, count(*) AS cnt
+            FROM pairs GROUP BY id1
             """,
-            lineitem=li,
+            pairs=pairs,
         )
 
     def test_accepts_pandas_input_tables(self, spark):
@@ -44,21 +64,32 @@ class TestAssertEquivalent:
         got = spark.createDataFrame(pd.DataFrame({"b": [2], "a": [1]}))[["b", "a"]]
         assert_equivalent(got, "SELECT a, b FROM t", t=pdf)
 
-    def test_join_equivalence_on_synth_tables(self, spark):
-        li = SD.lineitem(spark, sf=0.001)
-        o = SD.orders(spark, sf=0.001)
+    def test_join_equivalence_on_synth_tables(self, frost_tables):
+        clustering, pairs = frost_tables
+
+        def end(k: int):
+            return clustering.select(
+                F.col("rid").alias(f"id{k}"), F.col("cluster").alias(f"c{k}")
+            )
+
         got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("cnt"))
+            pairs.join(end(1), "id1")
+            .join(end(2), "id2")
+            .groupBy("c1")
+            .agg(
+                F.count("*").alias("cnt"),
+                F.count_if(F.col("c1") == F.col("c2")).alias("intra"),
+            )
         )
         assert_equivalent(
             got,
             """
-            SELECT o_orderpriority, count(*) AS cnt
-            FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
+            SELECT x.cluster AS c1, count(*) AS cnt,
+                   count(*) FILTER (WHERE x.cluster = y.cluster) AS intra
+            FROM pairs p JOIN clustering x ON p.id1 = x.rid
+                         JOIN clustering y ON p.id2 = y.rid
+            GROUP BY x.cluster
             """,
-            lineitem=li,
-            orders=o,
+            pairs=pairs,
+            clustering=clustering,
         )

@@ -107,6 +107,49 @@ class TestClosureMissingPairs:
         assert P.closure_missing_pairs(prs, recs).count() == 0
 
 
+class TestWithRecords:
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_matches_duckdb_two_joins(self, spark, how):
+        records = spark.createDataFrame(
+            [
+                ("a", "x y", 1.5, "acme"),
+                ("b", None, -0.0, "acme"),
+                ("c", "x", None, None),
+                ("d", "z", 2.0, "zeta"),
+            ],
+            "rid string, name string, price double, brand string",
+        )
+        # "q" and "p" are not records; "b" has a null name, "c" a null price.
+        pairs = spark.createDataFrame(
+            [
+                ("a", "b", 0.9),
+                ("a", "c", 0.5),
+                ("b", "d", 0.1),
+                ("c", "q", 0.7),
+                ("p", "q", 0.2),
+            ],
+            "id1 string, id2 string, similarity double",
+        )
+        got = P.with_records(pairs, records, ["name", "price"], how=how)
+        assert got.columns == [
+            "id1", "id2", "similarity", "a_name", "a_price", "b_name", "b_price"
+        ]
+        join = "JOIN" if how == "inner" else "LEFT JOIN"
+        assert_equivalent(
+            got,
+            f"""
+            SELECT p.id1, p.id2, p.similarity,
+                   a.name AS a_name, a.price AS a_price,
+                   b.name AS b_name, b.price AS b_price
+            FROM pairs p {join} records a ON p.id1 = a.rid
+                         {join} records b ON p.id2 = b.rid
+            """,
+            pairs=pairs,
+            records=records,
+        )
+        assert got.count() == (3 if how == "inner" else 5)
+
+
 class TestPairCountOfClustering:
     @pytest.mark.parametrize(
         "sizes,expected", [([1], 0), ([2], 1), ([3], 3), ([3, 2, 1], 4), ([5, 5], 20)]

@@ -1,7 +1,9 @@
 """Spark jobs per view: one pass, whatever the number of experiments or attributes.
 
 Jobs are counted through a job group and the status tracker, after the
-listener bus that fills the tracker has been drained.
+listener bus that fills the tracker has been drained. The pair→record joins
+are also checked by plan shape: the record side is broadcast, so the pair
+table is not shuffled to attach its records.
 """
 import random
 import uuid
@@ -9,7 +11,8 @@ import uuid
 import pytest
 
 from repro.core import confusion, noground
-from repro.explore import attributes, setops, sorting
+from repro.explore import attributes, error_analysis, setops, sorting
+from repro.matchgen import blocking, matchers
 from repro.profiling import dataset_profile
 
 
@@ -78,6 +81,66 @@ def test_confusion_counts_is_one_join_and_one_aggregate(spark, inputs):
     # 3 counts.
     gold, exps, _ = inputs
     assert _jobs(spark, lambda: confusion.confusion_counts(exps[0], gold, n_records=120)) <= 4
+
+
+def test_confusion_of_a_matcher_result_shuffles_only_gold(spark, inputs):
+    # The matcher's broadcast joins keep token_blocking's (id1, id2)
+    # partitioning, so the full outer join shuffles only the gold side: one
+    # shuffle map stage for gold, one for the aggregate, and the result stage.
+    gold, _, records = inputs
+    candidates = blocking.token_blocking(records, "name").cache()
+    matcher = matchers.Matcher("m", {"name": "jaccard"}, {"name": 1.0}, "penalize", 0.3)
+    predicted = matcher.predict(candidates, records).cache()
+    try:
+        assert predicted.count() > 0
+        assert _jobs(
+            spark, lambda: confusion.confusion_counts(predicted, gold, n_records=120)
+        ) <= 3
+    finally:
+        predicted.unpersist()
+        candidates.unpersist()
+
+
+def _executed_plans(spark, run) -> str:
+    """The final physical plans of every SQL query that ``run`` executes."""
+    store = spark._jsparkSession.sharedState().statusStore()
+
+    def latest(k: int) -> list:
+        n = store.executionsCount()
+        runs = store.executionsList(max(0, n - k), k)
+        return [runs.apply(i) for i in range(runs.size())]
+
+    start = max((e.executionId() for e in latest(1)), default=-1)
+    run()
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    return "\n".join(
+        e.physicalPlanDescription() for e in latest(100) if e.executionId() > start
+    )
+
+
+PAIR_RECORD_VIEWS = {
+    "compute_features": lambda exps, records: matchers.compute_features(
+        exps[0], records, {"name": "jaccard"}
+    ).collect(),
+    "enrich_with_records": lambda exps, records: setops.enrich_with_records(
+        exps[0], records
+    ).collect(),
+    "attribute_influence_report": lambda exps, records: (
+        attributes.attribute_influence_report(exps[0], records, ["name"])
+    ),
+    "nearest_correct_pairs": lambda exps, records: error_analysis.nearest_correct_pairs(
+        exps[0], exps[1], records, ["name"]
+    ).collect(),
+}
+
+
+@pytest.mark.parametrize("view", sorted(PAIR_RECORD_VIEWS))
+def test_pair_record_joins_broadcast_the_records(spark, inputs, view):
+    _, exps, records = inputs
+    plan = _executed_plans(spark, lambda: PAIR_RECORD_VIEWS[view](exps, records))
+    # The inputs are cached, so any sort-merge join here would be one that
+    # shuffles the pair table to attach its records.
+    assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan
 
 
 def test_closure_violation_count_is_one_collect(spark, inputs):
