@@ -9,89 +9,101 @@ metrics. All three metrics named in the paper are implemented:
 - generalized merge distance [Menestrina et al. 2010], via the linear-time
   "slice" algorithm
 
-The heavy lifting (cluster intersection sizes) is one DataFrame join +
-group-by; only the per-cluster reductions run on the driver, over data that
-is linear in the number of clusters.
+All three are functions of one table: the sizes of the nonempty
+intersections of experiment and gold clusters. The module is split the way
+``confusion_counts`` and ``metrics`` are: :func:`intersections` is its only
+Spark code (one join, one aggregate, one collect) and returns that table;
+the metric functions are driver arithmetic over it, linear in its length.
+Cluster sizes and pair counts Σ C(s, 2) are sums over the same table.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pairs import pair_count_of_clustering
 
-
-def _intersections(exp: DataFrame, truth: DataFrame) -> DataFrame:
+def intersections(exp: DataFrame, truth: DataFrame) -> list[tuple]:
     """Sizes of all nonempty intersections between exp and truth clusters.
 
-    Returns ``(ecluster, tcluster, n)``. Both inputs are clusterings
-    ``(rid, cluster)`` over the same record set.
+    Returns the rows ``(ecluster, tcluster, n)``. Both inputs are clusterings
+    ``(rid, cluster)`` over the same record set; a record that has a cluster
+    on one side only raises ``ValueError`` naming the least such rid. The
+    check reads the same aggregate, so valid input costs no extra job.
     """
     e = exp.select("rid", F.col("cluster").alias("ecluster"))
     t = truth.select("rid", F.col("cluster").alias("tcluster"))
-    return e.join(t, "rid").groupBy("ecluster", "tcluster").agg(
-        F.count("*").alias("n")
+    rows = (
+        e.join(t, "rid", "full")
+        .groupBy("ecluster", "tcluster")
+        .agg(F.count("*").alias("n"), F.min("rid").alias("rid"))
+        .collect()
     )
+    orphans = [r["rid"] for r in rows if r["ecluster"] is None or r["tcluster"] is None]
+    if orphans:
+        raise ValueError(
+            f"record {min(orphans)!r} has a cluster in only one clustering; "
+            "both must cover the same records"
+        )
+    return [(r["ecluster"], r["tcluster"], r["n"]) for r in rows]
 
 
-def closest_cluster_f1(exp: DataFrame, truth: DataFrame) -> dict[str, float]:
+def _sizes(table: list[tuple]) -> tuple[Counter, Counter]:
+    """Experiment and gold cluster sizes: the row sums of the table per side."""
+    esize: Counter = Counter()
+    tsize: Counter = Counter()
+    for e, t, n in table:
+        esize[e] += n
+        tsize[t] += n
+    return esize, tsize
+
+
+def closest_cluster_f1(table: list[tuple]) -> dict[str, float]:
     """Closest-cluster precision/recall/f1 [Benjelloun et al. 2009].
 
     Precision: average over experiment clusters of the best Jaccard
     similarity to any gold cluster; recall symmetric; f1 their harmonic mean.
+    Clusters that do not intersect have Jaccard 0, so the table's rows
+    hold every candidate for the best.
     """
-    inter = _intersections(exp, truth)
-    esize = exp.groupBy("cluster").agg(F.count("*").alias("esize")).withColumnRenamed("cluster", "ecluster")
-    tsize = truth.groupBy("cluster").agg(F.count("*").alias("tsize")).withColumnRenamed("cluster", "tcluster")
-    jac = (
-        inter.join(esize, "ecluster")
-        .join(tsize, "tcluster")
-        .withColumn("jac", F.col("n") / (F.col("esize") + F.col("tsize") - F.col("n")))
-    )
-    prec_row = (
-        jac.groupBy("ecluster").agg(F.max("jac").alias("best")).agg(F.avg("best")).first()
-    )
-    rec_row = (
-        jac.groupBy("tcluster").agg(F.max("jac").alias("best")).agg(F.avg("best")).first()
-    )
-    p = float(prec_row[0] or 0.0)
-    r = float(rec_row[0] or 0.0)
+    esize, tsize = _sizes(table)
+    best_e: dict = {}
+    best_t: dict = {}
+    for e, t, n in table:
+        jac = n / (esize[e] + tsize[t] - n)
+        best_e[e] = max(best_e.get(e, 0.0), jac)
+        best_t[t] = max(best_t.get(t, 0.0), jac)
+    p = sum(best_e.values()) / len(best_e) if best_e else 0.0
+    r = sum(best_t.values()) / len(best_t) if best_t else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return {"cc_precision": p, "cc_recall": r, "cc_f1": f}
 
 
-def variation_of_information(exp: DataFrame, truth: DataFrame) -> float:
+def variation_of_information(table: list[tuple]) -> float:
     """VI(C, C') = H(C) + H(C') - 2 I(C, C') [Meila 2003], natural log.
 
     0 iff the clusterings are identical; a true metric on clusterings.
     Computed from the joint distribution of (experiment cluster, gold
     cluster) memberships.
     """
-    inter = _intersections(exp, truth).collect()
-    n = sum(r["n"] for r in inter)
+    esize, tsize = _sizes(table)
+    n = sum(esize.values())
     if n == 0:
         return 0.0
-    esizes: dict = {}
-    tsizes: dict = {}
-    for r in inter:
-        esizes[r["ecluster"]] = esizes.get(r["ecluster"], 0) + r["n"]
-        tsizes[r["tcluster"]] = tsizes.get(r["tcluster"], 0) + r["n"]
-    h_e = -sum((s / n) * math.log(s / n) for s in esizes.values())
-    h_t = -sum((s / n) * math.log(s / n) for s in tsizes.values())
+    h_e = -sum((s / n) * math.log(s / n) for s in esize.values())
+    h_t = -sum((s / n) * math.log(s / n) for s in tsize.values())
     mi = sum(
-        (r["n"] / n)
-        * math.log((r["n"] / n) / ((esizes[r["ecluster"]] / n) * (tsizes[r["tcluster"]] / n)))
-        for r in inter
+        (k / n) * math.log((k / n) / ((esize[e] / n) * (tsize[t] / n)))
+        for e, t, k in table
     )
     return h_e + h_t - 2 * mi
 
 
 def generalized_merge_distance(
-    exp: DataFrame,
-    truth: DataFrame,
+    table: list[tuple],
     merge_cost: Callable[[int, int], float] = lambda x, y: 1.0,
     split_cost: Callable[[int, int], float] = lambda x, y: 1.0,
 ) -> float:
@@ -104,12 +116,11 @@ def generalized_merge_distance(
     distance; ``merge_cost=λx,y: x*y, split_cost=0`` recovers pairwise-recall
     structure (and symmetrically for precision), per the paper.
     """
-    inter = _intersections(exp, truth).collect()
     # Group intersection parts by experiment cluster: each exp cluster is
     # "sliced" into its overlaps with gold clusters.
     by_exp: dict = {}
-    for r in inter:
-        by_exp.setdefault(r["ecluster"], []).append((r["tcluster"], r["n"]))
+    for e, t, n in table:
+        by_exp.setdefault(e, []).append((t, n))
     cost = 0.0
     built: dict = {}  # gold cluster -> size accumulated so far
     for parts in by_exp.values():
@@ -125,7 +136,7 @@ def generalized_merge_distance(
     return cost
 
 
-def pairwise_from_gmd(exp: DataFrame, truth: DataFrame) -> dict[str, float]:
+def pairwise_from_gmd(table: list[tuple]) -> dict[str, float]:
     """Pairwise precision/recall/f1 derived from GMD with product costs.
 
     Menestrina et al. show pairwise precision = 1 - GMD(E,T; merge=0,
@@ -133,12 +144,14 @@ def pairwise_from_gmd(exp: DataFrame, truth: DataFrame) -> dict[str, float]:
     / |pairs(T)|. Used as a cross-check of the pair-based path.
     """
     split_only = generalized_merge_distance(
-        exp, truth, merge_cost=lambda x, y: 0.0, split_cost=lambda x, y: float(x * y)
+        table, merge_cost=lambda x, y: 0.0, split_cost=lambda x, y: float(x * y)
     )
     merge_only = generalized_merge_distance(
-        exp, truth, merge_cost=lambda x, y: float(x * y), split_cost=lambda x, y: 0.0
+        table, merge_cost=lambda x, y: float(x * y), split_cost=lambda x, y: 0.0
     )
-    ep, tp_ = pair_count_of_clustering(exp), pair_count_of_clustering(truth)
+    esize, tsize = _sizes(table)
+    ep = sum(math.comb(s, 2) for s in esize.values())
+    tp_ = sum(math.comb(s, 2) for s in tsize.values())
     p = 1.0 - split_only / ep if ep else 0.0
     r = 1.0 - merge_only / tp_ if tp_ else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0

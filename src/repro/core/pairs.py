@@ -102,20 +102,6 @@ def clustering_from_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     return connected_components(pairs, records.select("rid"))
 
 
-def with_numeric_ids(dataset: DataFrame, id_col: str = "rid") -> DataFrame:
-    """Assign a dense numeric ``nid`` to every record (Snowman §5.3).
-
-    Snowman maps native IDs to persistent numeric IDs at import time for
-    constant-time access; we mirror that with a zip-with-index so pair sets
-    can be re-expressed over ``nid`` when a job wants integer keys.
-    """
-    ordered = dataset.orderBy(id_col)
-    indexed = ordered.rdd.zipWithIndex().map(lambda t: (*t[0], t[1]))
-    return dataset.sparkSession.createDataFrame(
-        indexed, dataset.schema.add("nid", "long")
-    )
-
-
 def closure_missing_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     """Pairs implied by the transitive closure but absent from ``pairs``.
 
@@ -128,14 +114,3 @@ def closure_missing_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     return closed.join(
         pairs.select("id1", "id2"), on=["id1", "id2"], how="left_anti"
     )
-
-
-def pair_count_of_clustering(clustering: DataFrame) -> int:
-    """Number of intra-cluster pairs, Σ C(|cluster|, 2), without materialising them."""
-    row = (
-        clustering.groupBy("cluster")
-        .agg(F.count("*").alias("n"))
-        .select(F.sum(F.col("n") * (F.col("n") - 1) / 2).alias("p"))
-        .first()
-    )
-    return int(row["p"] or 0)

@@ -26,7 +26,12 @@ from repro.text import words
 
 
 def token_jaccard_sim(a: Column, b: Column) -> Column:
-    """Whitespace-token Jaccard similarity of two string columns (null -> 0)."""
+    """Whitespace-token Jaccard similarity of two string columns (null -> 0).
+
+    Unlike the matcher feature ``similarity.token_jaccard`` it compares the
+    never-null concatenated record text, case-sensitively, since it ranks
+    pairs of records rather than feeding a null policy.
+    """
     ta, tb = F.array_distinct(words(a)), F.array_distinct(words(b))
     inter = F.size(F.array_intersect(ta, tb))
     union = F.size(F.array_union(ta, tb))

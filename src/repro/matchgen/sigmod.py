@@ -26,7 +26,7 @@ shared product catalog.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -114,7 +114,6 @@ class SplitSpec:
     desc_len: int  # description length in words (drives TX)
     null_desc: float  # null prob of description
     null_structured: float  # null prob of brand/cpu/ram/hdd (drives SP)
-    heavy_title: bool = False  # optional extra title corruption (off in default specs)
     boilerplate: bool = False  # D2 reuses per-brand boilerplate descriptions
 
     @property
@@ -133,8 +132,8 @@ class SplitSpec:
 # Targets derived analytically from the Table-2 goals (see module docstring);
 # tuple counts are the paper's at 1/20 scale.
 SPECS: dict[tuple[str, str], SplitSpec] = {
-    ("D2", "train"): SplitSpec("x2", 2100, 300, 70, 0.022, 130, 0.0, 0.1665, False, True),
-    ("D2", "test"): SplitSpec("z2", 700, 100, 15, 0.036, 96, 0.0, 0.2958, False, True),
+    ("D2", "train"): SplitSpec("x2", 2100, 300, 70, 0.022, 130, 0.0, 0.1665, True),
+    ("D2", "test"): SplitSpec("z2", 700, 100, 15, 0.036, 96, 0.0, 0.2958, True),
     ("D3", "train"): SplitSpec("x3", 2000, 350, 43, 0.022, 69, 0.55, 0.614),
     ("D3", "test"): SplitSpec("z3", 1200, 220, 49, 0.121, 67, 0.45, 0.527),
 }
@@ -172,17 +171,11 @@ def _title(ent: dict, rng: np.random.Generator, noise: list[str]) -> str:
 def _scale_spec(spec: SplitSpec, scale: float) -> SplitSpec:
     if scale == 1.0:
         return spec
-    return SplitSpec(
-        spec.name,
-        max(10, int(spec.n_unique * scale)),
-        max(2, int(spec.dup2 * scale)),
-        max(1, int(spec.dup3 * scale)),
-        spec.positive_ratio,
-        spec.desc_len,
-        spec.null_desc,
-        spec.null_structured,
-        spec.heavy_title,
-        spec.boilerplate,
+    return replace(
+        spec,
+        n_unique=max(10, int(spec.n_unique * scale)),
+        dup2=max(2, int(spec.dup2 * scale)),
+        dup3=max(1, int(spec.dup3 * scale)),
     )
 
 
@@ -248,13 +241,8 @@ def sigmod_split(
             # Token-preserving noise first (word order / dropped words
             # between sources), plus a real typo in the title: keeps the
             # vocabulary overlap between splits intact while still
-            # challenging matchers. heavy_title is an optional harder-noise
-            # knob, off in the default specs.
-            if spec.heavy_title:
-                title = typo(typo(drop_token(swap_tokens(title, rng), rng), rng), rng)
-                title = drop_token(title, rng)
-            else:
-                title = typo(swap_tokens(title, rng), rng)
+            # challenging matchers.
+            title = typo(swap_tokens(title, rng), rng)
             desc = drop_token(swap_tokens(desc, rng), rng)
             if rng.random() < 0.3:
                 brand = typo(brand, rng)

@@ -20,7 +20,12 @@ def _tokens(c: Column) -> Column:
 
 
 def token_jaccard(a: Column, b: Column) -> Column:
-    """Jaccard similarity of whitespace token sets; NULL if either is NULL."""
+    """Jaccard similarity of lower-cased whitespace token sets; NULL if either is NULL.
+
+    Unlike ``error_analysis.token_jaccard_sim`` this is a matcher feature:
+    it returns NULL so that the matcher's null policy decides what a
+    missing value costs, and it lower-cases as the other features do.
+    """
     ta, tb = _tokens(a), _tokens(b)
     inter = F.size(F.array_intersect(ta, tb))
     union = F.size(F.array_union(ta, tb))

@@ -5,12 +5,18 @@ evaluate with pair- and cluster-based metrics -> explore (Venn, selection,
 attribute influence). Exercises the modules together the way the platform
 composes them, with a DuckDB oracle check on the final confusion counts.
 """
+import math
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.clustering import connected_components
-from repro.core.cluster_metrics import closest_cluster_f1, variation_of_information
+from repro.core.cluster_metrics import (
+    closest_cluster_f1,
+    intersections,
+    variation_of_information,
+)
 from repro.core.confusion import confusion_counts, confusion_sets
 from repro.core.metrics import all_metrics, f1
 from repro.core.pairs import pairs_from_clustering
@@ -75,12 +81,32 @@ class TestPipelineQuality:
         assert out["reduction_ratio"] > 0.9  # quadratic space pruned
 
     def test_cluster_metrics_agree_on_quality(self, pipeline):
-        cc = closest_cluster_f1(pipeline["exp_clustering"], pipeline["gold_clustering"])
+        table = intersections(pipeline["exp_clustering"], pipeline["gold_clustering"])
+        cc = closest_cluster_f1(table)
         assert cc["cc_f1"] > 0.6
-        vi = variation_of_information(
-            pipeline["exp_clustering"], pipeline["gold_clustering"]
-        )
+        vi = variation_of_information(table)
         assert vi < 2.0
+
+    def test_pair_counts_from_the_intersection_table(self, pipeline):
+        # A second, independent path to the pair confusion of a closed
+        # experiment: TP = Σ C(n, 2) over the intersections, and |E|, |G|
+        # are Σ C(s, 2) over each side's cluster sizes.
+        table = intersections(pipeline["exp_clustering"], pipeline["gold_clustering"])
+        esize: dict = {}
+        tsize: dict = {}
+        for e, t, n in table:
+            esize[e] = esize.get(e, 0) + n
+            tsize[t] = tsize.get(t, 0) + n
+
+        def pairs(sizes):
+            return sum(math.comb(s, 2) for s in sizes)
+
+        c = confusion_counts(
+            pipeline["exp_pairs"], pipeline["gold_pairs"], n_records=pipeline["n"]
+        )
+        assert pairs(n for _, _, n in table) == c.tp
+        assert pairs(esize.values()) == c.predicted
+        assert pairs(tsize.values()) == c.positives
 
     def test_confusion_against_duckdb_oracle(self, pipeline):
         import duckdb

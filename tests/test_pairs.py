@@ -149,29 +149,3 @@ class TestWithRecords:
         )
         assert got.count() == (3 if how == "inner" else 5)
 
-
-class TestPairCountOfClustering:
-    @pytest.mark.parametrize(
-        "sizes,expected", [([1], 0), ([2], 1), ([3], 3), ([3, 2, 1], 4), ([5, 5], 20)]
-    )
-    def test_sum_of_binomials(self, spark, sizes, expected):
-        rows, rid = [], 0
-        for c, n in enumerate(sizes):
-            for _ in range(n):
-                rows.append((f"r{rid}", c))
-                rid += 1
-        cl = _pairs_df(spark, rows, cols=("rid", "cluster"))
-        assert P.pair_count_of_clustering(cl) == expected
-
-
-class TestWithNumericIds:
-    def test_dense_and_unique(self, spark):
-        ds = _pairs_df(spark, [("c", 1), ("a", 2), ("b", 3)], cols=("rid", "x"))
-        out = P.with_numeric_ids(ds).collect()
-        nids = sorted(r["nid"] for r in out)
-        assert nids == [0, 1, 2]
-
-    def test_order_follows_rid(self, spark):
-        ds = _pairs_df(spark, [("c", 1), ("a", 2)], cols=("rid", "x"))
-        m = {r["rid"]: r["nid"] for r in P.with_numeric_ids(ds).collect()}
-        assert m["a"] < m["c"]

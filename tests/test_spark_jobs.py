@@ -10,7 +10,8 @@ import uuid
 
 import pytest
 
-from repro.core import confusion, noground
+from repro.core import cluster_metrics, confusion, noground
+from repro.core.clustering import connected_components
 from repro.explore import attributes, error_analysis, setops, sorting
 from repro.matchgen import blocking, matchers
 from repro.profiling import dataset_profile
@@ -141,6 +142,38 @@ def test_pair_record_joins_broadcast_the_records(spark, inputs, view):
     # The inputs are cached, so any sort-merge join here would be one that
     # shuffles the pair table to attach its records.
     assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan
+
+
+@pytest.fixture(scope="module")
+def clusterings(inputs):
+    """The closed experiment 0 and the closed gold standard over the records."""
+    gold, exps, records = inputs
+    out = [connected_components(p, records.select("rid")).cache() for p in (exps[0], gold)]
+    for df in out:
+        df.count()
+    yield out
+    for df in out:
+        df.unpersist()
+
+
+def test_intersections_is_one_aggregate(spark, clusterings):
+    # Two shuffle map stages for the full outer join, one for the grouping,
+    # and the result stage, against 41 jobs when each metric built the table.
+    assert _jobs(spark, lambda: cluster_metrics.intersections(*clusterings)) <= 4
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        "closest_cluster_f1",
+        "variation_of_information",
+        "generalized_merge_distance",
+        "pairwise_from_gmd",
+    ],
+)
+def test_cluster_metrics_start_no_job(spark, clusterings, metric):
+    table = cluster_metrics.intersections(*clusterings)
+    assert _jobs(spark, lambda: getattr(cluster_metrics, metric)(table)) == 0
 
 
 def test_closure_violation_count_is_one_collect(spark, inputs):
