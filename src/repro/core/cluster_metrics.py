@@ -30,23 +30,30 @@ def intersections(exp: DataFrame, truth: DataFrame) -> list[tuple]:
     """Sizes of all nonempty intersections between exp and truth clusters.
 
     Returns the rows ``(ecluster, tcluster, n)``. Both inputs are clusterings
-    ``(rid, cluster)`` over the same record set; a record that has a cluster
-    on one side only raises ``ValueError`` naming the least such rid. The
-    check reads the same aggregate, so valid input costs no extra job.
+    ``(rid, cluster)`` that list each record of the same record set once; a
+    record with a cluster on one side only, or two rows on one side, raises
+    ``ValueError`` naming the least such rid. The check reads the same
+    aggregate, so valid input costs no extra job.
     """
-    e = exp.select("rid", F.col("cluster").alias("ecluster"))
-    t = truth.select("rid", F.col("cluster").alias("tcluster"))
+    def side(df: DataFrame, name: str) -> DataFrame:
+        return df.groupBy("rid").agg(
+            F.min("cluster").alias(name), F.count("*").alias(f"{name}_n")
+        )
+
+    bad = F.col("ecluster").isNull() | F.col("tcluster").isNull()
+    bad = bad | (F.col("ecluster_n") > 1) | (F.col("tcluster_n") > 1)
     rows = (
-        e.join(t, "rid", "full")
+        side(exp, "ecluster")
+        .join(side(truth, "tcluster"), "rid", "full")
         .groupBy("ecluster", "tcluster")
-        .agg(F.count("*").alias("n"), F.min("rid").alias("rid"))
+        .agg(F.count("*").alias("n"), F.min(F.when(bad, F.col("rid"))).alias("bad"))
         .collect()
     )
-    orphans = [r["rid"] for r in rows if r["ecluster"] is None or r["tcluster"] is None]
-    if orphans:
+    bad_rids = [r["bad"] for r in rows if r["bad"] is not None]
+    if bad_rids:
         raise ValueError(
-            f"record {min(orphans)!r} has a cluster in only one clustering; "
-            "both must cover the same records"
+            f"record {min(bad_rids)!r} has a cluster in only one clustering or two "
+            "rows in one; both must list the same records once each"
         )
     return [(r["ecluster"], r["tcluster"], r["n"]) for r in rows]
 

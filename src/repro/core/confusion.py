@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 
@@ -61,6 +61,32 @@ def confusion_sets(
     return tp, fp, fn
 
 
+def confusion_grid(
+    pairs: DataFrame, experiments: dict[str, Column], is_gold: Column, total: int
+) -> dict[str, ConfusionCounts]:
+    """The confusion cells of N experiments against one gold standard (N-Metrics).
+
+    ``pairs`` holds every pair of any experiment or of gold once;
+    ``experiments`` maps a name to the predicate "the pair is in that
+    experiment" and ``is_gold`` marks gold pairs (NULL counts as false).
+    One ``count_if`` aggregate counts every TP/FP/FN; TN follows from
+    ``total``, the size of the pair universe.
+    """
+    g = F.coalesce(is_gold, F.lit(False))
+    es = [F.coalesce(e, F.lit(False)) for e in experiments.values()]
+    cells = [(F.count_if(e & g), F.count_if(e & ~g), F.count_if(~e & g)) for e in es]
+    row = pairs.agg(*[c for cs in cells for c in cs]).first()
+    out = {}
+    for i, name in enumerate(experiments):
+        tp, fp, fn = row[3 * i : 3 * i + 3]
+        if total < tp + fp + fn:
+            raise ValueError(
+                f"universe of {total} pairs smaller than |E ∪ G| = {tp + fp + fn}"
+            )
+        out[name] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=total - tp - fp - fn)
+    return out
+
+
 def confusion_counts(
     experiment: DataFrame,
     gold: DataFrame,
@@ -72,7 +98,9 @@ def confusion_counts(
 
     With ``n_records`` the universe is all C(n,2) record pairs; with
     ``universe_size`` it is an explicit candidate/labeled-pair universe that
-    ``experiment`` and ``gold`` are assumed to be subsets of.
+    ``experiment`` and ``gold`` are assumed to be subsets of. The one-
+    experiment case of :func:`confusion_grid`, over the full outer join of
+    the two pair sets.
     """
     if (n_records is None) == (universe_size is None):
         raise ValueError("pass exactly one of n_records / universe_size")
@@ -80,16 +108,7 @@ def confusion_counts(
         pair_universe_size(n_records) if n_records is not None else universe_size
     )
     key = ["id1", "id2"]
-    e = experiment.select(*key, F.lit(1).alias("_e"))
-    g = gold.select(*key, F.lit(1).alias("_g"))
-    tp, fp, fn = e.join(g, key, "full_outer").agg(
-        F.count_if(F.col("_e").isNotNull() & F.col("_g").isNotNull()),
-        F.count_if(F.col("_g").isNull()),
-        F.count_if(F.col("_e").isNull()),
-    ).first()
-    tn = total - tp - fp - fn
-    if tn < 0:
-        raise ValueError(
-            f"universe of {total} pairs smaller than |E ∪ G| = {tp + fp + fn}"
-        )
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    e = experiment.select(*key, F.lit(True).alias("_e"))
+    g = gold.select(*key, F.lit(True).alias("_g"))
+    pairs = e.join(g, key, "full_outer")
+    return confusion_grid(pairs, {"": F.col("_e")}, F.col("_g"), total)[""]

@@ -114,7 +114,8 @@ def spark_pair_sweep(
     )
     return (
         per_thr.withColumn("precision", F.col("tp") / F.col("predicted"))
-        .withColumn("recall", F.col("tp") / F.lit(gold_size))
+        # An empty gold standard has recall 0, as in ``metrics.recall``.
+        .withColumn("recall", F.col("tp") / F.lit(gold_size) if gold_size else F.lit(0.0))
         .withColumn(
             "f1",
             F.when(

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
-from repro.core.confusion import confusion_counts
+from repro.core.confusion import confusion_grid, pair_universe_size
 from repro.core.diagrams import spark_pair_sweep
 from repro.core.metrics import f1, precision, recall
 from repro.explore.setops import missed_by_at_least
 from repro.matchgen.blocking import token_blocking
-from repro.matchgen.matchers import Matcher
+from repro.matchgen.matchers import Matcher, compute_features
 from repro.matchgen.sigmod import case_study_dataset
 
 #: five simulated contest solutions; two with deliberately low thresholds.
@@ -46,6 +47,9 @@ def run_case_study(
 ) -> dict[str, pd.DataFrame]:
     """Run all five solutions and the three §5.4 evaluations.
 
+    The solutions are the similarity columns of one cached frame; one join
+    with gold and one aggregate count all their confusion cells.
+
     Returns ``{"metrics": ..., "threshold_audit": ..., "missed": ...}``.
     """
     split = case_study_dataset(spark, scale=scale, seed=seed)
@@ -58,18 +62,18 @@ def run_case_study(
     ).cache()
     candidates.count()
 
-    metric_rows, audit_rows, experiments = [], [], {}
+    key = ["id1", "id2"]
+    features = {f for s in SOLUTIONS for f in s.features.items()}
+    sims = [s.similarity().alias(s.name) for s in SOLUTIONS]
+    feats = compute_features(candidates, split.dataset, features)
+    scored = feats.select(*key, *sims).cache()
+    found = {s.name: F.col(s.name) >= s.threshold for s in SOLUTIONS}
+    flagged = scored.join(gold.select(*key, F.lit(True).alias("_g")), key, "full_outer")
+    cells = confusion_grid(flagged, found, F.col("_g"), pair_universe_size(n_records))
+
+    metric_rows, audit_rows = [], []
     for sol in SOLUTIONS:
-        scored = sol.score(candidates, split.dataset).cache()
-        exp = (
-            scored.filter(scored.similarity >= sol.threshold)
-            .select("id1", "id2", "similarity")
-            .cache()
-        )
-        experiments[sol.name] = exp
-        c = confusion_counts(
-            exp.select("id1", "id2"), gold, n_records=n_records
-        )
+        c = cells[sol.name]
         metric_rows.append(
             {
                 "solution": sol.name,
@@ -80,7 +84,8 @@ def run_case_study(
             }
         )
         # Threshold audit: pair-level sweep over all scored candidates.
-        sweep = spark_pair_sweep(scored, gold, gold_size=gold_size).toPandas()
+        sim = scored.select(*key, F.col(sol.name).alias("similarity"))
+        sweep = spark_pair_sweep(sim, gold, gold_size=gold_size).toPandas()
         best = sweep.loc[sweep["f1"].idxmax()]
         audit_rows.append(
             {
@@ -92,11 +97,11 @@ def run_case_study(
                 "f1_gain": float(best["f1"]) - f1(c),
             }
         )
-        scored.unpersist()
 
     missed = missed_by_at_least(
-        gold, {n: e.select("id1", "id2") for n, e in experiments.items()}, k=4
+        gold, {n: scored.filter(p).select(*key) for n, p in found.items()}, k=4
     ).toPandas()
+    scored.unpersist()
     return {
         "metrics": pd.DataFrame(metric_rows),
         "threshold_audit": pd.DataFrame(audit_rows),

@@ -8,16 +8,19 @@ solutions transfer to the dense D2 far better than X2-developed solutions
 transfer to the sparse D3.
 
 Metrics are computed over each split's labeled pair universe with the Frost
-pipeline (confusion via DataFrame joins, constant-time metric arithmetic).
+pipeline: per split, one feature frame and one aggregate count the
+confusion cells of all six matchers (the N-Metrics view), and constant-time
+metric arithmetic turns them into precision/recall/f1.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
-from repro.core.confusion import confusion_counts
+from repro.core.confusion import confusion_grid
 from repro.core.metrics import f1, precision, recall
-from repro.matchgen.matchers import Matcher, develop_matcher
+from repro.matchgen.matchers import Matcher, compute_features, develop_matchers
 from repro.matchgen.sigmod import SigmodSplit, sigmod_split
 
 MATCHER_KINDS = ("ml", "rule", "hybrid")
@@ -33,7 +36,6 @@ def load_splits(
             s = sigmod_split(spark, ds, sp, scale=scale)
             s.dataset.cache().count()
             s.labeled_pairs.cache().count()
-            s.gold_pairs.cache().count()
             out[(ds, sp)] = s
     return out
 
@@ -45,24 +47,30 @@ def develop_all(
     out: dict[str, list[Matcher]] = {}
     for ds in ("D2", "D3"):
         train = splits[(ds, "train")]
-        out[ds] = [
-            develop_matcher(
-                f"{kind}@{train.name}", train.labeled_pairs, train.dataset, kind=kind
-            )
-            for kind in MATCHER_KINDS
-        ]
+        out[ds] = develop_matchers(
+            {f"{kind}@{train.name}": kind for kind in MATCHER_KINDS},
+            train.labeled_pairs,
+            train.dataset,
+        )
     return out
 
 
 def evaluate(
-    matcher: Matcher, split: SigmodSplit
-) -> dict[str, float]:
-    """Precision/recall/f1 of one matcher on one split's labeled universe."""
-    pred = matcher.predict(split.labeled_pairs, split.dataset)
-    c = confusion_counts(
-        pred, split.gold_pairs, universe_size=split.labeled_pairs.count()
-    )
-    return {"precision": precision(c), "recall": recall(c), "f1": f1(c)}
+    matchers: list[Matcher], split: SigmodSplit
+) -> dict[str, dict[str, float]]:
+    """Precision/recall/f1 of every matcher on one split's labeled universe.
+
+    One feature frame serves every matcher and one aggregate over it counts
+    all their confusion cells; gold is the ``label = 1`` rows of that frame.
+    """
+    features = {f for m in matchers for f in m.features.items()}
+    feats = compute_features(split.labeled_pairs, split.dataset, features)
+    found = {m.name: m.similarity() >= m.threshold for m in matchers}
+    cells = confusion_grid(feats, found, F.col("label") == 1, split.n_labeled)
+    return {
+        name: {"precision": precision(c), "recall": recall(c), "f1": f1(c)}
+        for name, c in cells.items()
+    }
 
 
 def run_table3(spark: SparkSession, scale: float = 1.0) -> pd.DataFrame:
@@ -74,32 +82,16 @@ def run_table3(spark: SparkSession, scale: float = 1.0) -> pd.DataFrame:
     """
     splits = load_splits(spark, scale)
     matchers = develop_all(splits)
+    every = [m for ms in matchers.values() for m in ms]
+    results = {key: evaluate(every, split) for key, split in splits.items()}
     rows = []
     for dev_ds, ms in matchers.items():
-        for (ds, sp), split in splits.items():
-            per = []
-            for m in ms:
-                res = evaluate(m, split)
-                rows.append(
-                    {
-                        "developed_on": f"X{dev_ds[1]}",
-                        "applied_to": split.name.upper(),
-                        "matcher": m.name,
-                        **res,
-                    }
-                )
-                per.append(res)
-            rows.append(
-                {
-                    "developed_on": f"X{dev_ds[1]}",
-                    "applied_to": split.name.upper(),
-                    "matcher": "average",
-                    **{
-                        k: sum(p[k] for p in per) / len(per)
-                        for k in ("precision", "recall", "f1")
-                    },
-                }
-            )
+        for key, split in splits.items():
+            cell = {"developed_on": f"X{dev_ds[1]}", "applied_to": split.name.upper()}
+            per = [results[key][m.name] for m in ms]
+            rows += [{**cell, "matcher": m.name, **res} for m, res in zip(ms, per)]
+            avg = {k: sum(p[k] for p in per) / len(per) for k in ("precision", "recall", "f1")}
+            rows.append({**cell, "matcher": "average", **avg})
     return pd.DataFrame(rows)
 
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import add
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.pairs import with_records
@@ -43,41 +45,24 @@ DEFAULT_FEATURES: dict[str, str] = {
 }
 
 
+def feature_column(attr: str, sim: str) -> str:
+    """The column of similarity ``sim`` on ``attr``: one frame can hold any mix."""
+    return f"f_{attr}__{sim}"
+
+
 def compute_features(
-    pairs: DataFrame, dataset: DataFrame, features: dict[str, str]
+    pairs: DataFrame, dataset: DataFrame, features: Iterable[tuple[str, str]]
 ) -> DataFrame:
-    """Per-pair similarity features ``f_<attr>`` (NULL when a side is NULL)."""
-    attrs = list(features)
-    out = with_records(pairs, dataset, attrs)
-    for attr, simname in features.items():
-        sim = SIMILARITIES[simname]
-        out = out.withColumn(f"f_{attr}", sim(F.col(f"a_{attr}"), F.col(f"b_{attr}")))
-    return out.drop(*[f"a_{c}" for c in attrs], *[f"b_{c}" for c in attrs])
+    """``pairs`` plus one column per ``(attr, sim)`` (NULL when a side is NULL).
 
-
-def _score_expr(weights: dict[str, float], null_policy: str):
-    """Weighted-average score column with the matcher's null policy."""
-    if null_policy == "penalize":
-        total = sum(weights.values())
-        num = reduce(
-            lambda x, y: x + y,
-            [F.coalesce(F.col(f"f_{a}"), F.lit(0.0)) * w for a, w in weights.items()],
-        )
-        return num / F.lit(total)
-    if null_policy == "renormalize":
-        num = reduce(
-            lambda x, y: x + y,
-            [F.coalesce(F.col(f"f_{a}"), F.lit(0.0)) * w for a, w in weights.items()],
-        )
-        den = reduce(
-            lambda x, y: x + y,
-            [
-                F.when(F.col(f"f_{a}").isNotNull(), F.lit(w)).otherwise(F.lit(0.0))
-                for a, w in weights.items()
-            ],
-        )
-        return F.when(den > 0, num / den).otherwise(F.lit(0.0))
-    raise ValueError(f"unknown null policy {null_policy!r}")
+    Given the union of several matchers' features, one frame scores them all.
+    """
+    features = sorted(set(features))
+    out = with_records(pairs, dataset, sorted({a for a, _ in features}))
+    sims = [SIMILARITIES[s](F.col(f"a_{a}"), F.col(f"b_{a}")) for a, s in features]
+    return out.select(
+        *pairs.columns, *[c.alias(feature_column(*f)) for c, f in zip(sims, features)]
+    )
 
 
 @dataclass
@@ -90,14 +75,23 @@ class Matcher:
     null_policy: str = "penalize"
     threshold: float = 0.5
 
+    def similarity(self) -> Column:
+        """The score over a ``compute_features`` frame, with the null policy."""
+        weights = self.weights or {a: 1.0 for a in self.features}
+        f = {a: F.col(feature_column(a, self.features[a])) for a in weights}
+        ws = weights.items()
+        num = reduce(add, [F.coalesce(f[a], F.lit(0.0)) * w for a, w in ws])
+        if self.null_policy == "penalize":
+            return num / F.lit(sum(weights.values()))
+        if self.null_policy == "renormalize":
+            den = reduce(add, [F.when(f[a].isNotNull(), w).otherwise(0.0) for a, w in ws])
+            return F.when(den > 0, num / den).otherwise(F.lit(0.0))
+        raise ValueError(f"unknown null policy {self.null_policy!r}")
+
     def score(self, pairs: DataFrame, dataset: DataFrame) -> DataFrame:
         """Scored candidate pairs ``(id1, id2, ..., similarity)``."""
-        return self.score_features(compute_features(pairs, dataset, self.features))
-
-    def score_features(self, feats: DataFrame) -> DataFrame:
-        """``feats`` (from ``compute_features``) plus the ``similarity`` column."""
-        weights = self.weights or {a: 1.0 for a in self.features}
-        return feats.withColumn("similarity", _score_expr(weights, self.null_policy))
+        feats = compute_features(pairs, dataset, self.features.items())
+        return feats.withColumn("similarity", self.similarity())
 
     def predict(self, pairs: DataFrame, dataset: DataFrame) -> DataFrame:
         """The experiment: candidate pairs scored at/above the threshold."""
@@ -109,25 +103,26 @@ class Matcher:
 
 
 def fit_weights(
-    scored_features: pd.DataFrame, feature_cols: list[str], floor: float = 0.05
+    scored_features: pd.DataFrame, columns: dict[str, str], floor: float = 0.05
 ) -> dict[str, float]:
     """Correlation-based feature weights (the "supervised ML" substrate).
 
-    Weight of a feature = max(corr(feature, label), floor) computed over the
-    labeled training candidates with the matcher's null handling already
-    applied (NaN -> 0). Normalised to sum 1. A floor keeps every feature in
-    the model, as a small regularisation.
+    ``columns`` maps each feature column to its attribute; the weights are
+    keyed by attribute. Weight of a feature = max(corr(feature, label),
+    floor) computed over the labeled training candidates with the matcher's
+    null handling already applied (NaN -> 0). Normalised to sum 1. A floor
+    keeps every feature in the model, as a small regularisation.
     """
     y = scored_features["label"].astype(float)
     w = {}
-    for c in feature_cols:
+    for c, attr in columns.items():
         x = scored_features[c].astype(float).fillna(0.0)
         if x.std() == 0 or y.std() == 0:
-            w[c] = floor
+            w[attr] = floor
         else:
-            w[c] = max(float(np.corrcoef(x, y)[0, 1]), floor)
+            w[attr] = max(float(np.corrcoef(x, y)[0, 1]), floor)
     total = sum(w.values())
-    return {c.removeprefix("f_"): v / total for c, v in w.items()}
+    return {a: v / total for a, v in w.items()}
 
 
 def fit_threshold(scores: pd.Series, labels: pd.Series) -> tuple[float, float]:
@@ -165,44 +160,51 @@ _FIXED_WEIGHTS: dict[str, dict[str, float]] = {
 }
 
 
-def develop_matcher(
-    name: str,
+def develop_matchers(
+    kinds: dict[str, str],
     train_pairs_with_labels: DataFrame,
     train_dataset: DataFrame,
     *,
-    kind: str = "ml",
     features: dict[str, str] | None = None,
-) -> Matcher:
-    """Develop a matcher on a training split (the Appendix-C experiment unit).
+) -> list[Matcher]:
+    """One matcher per ``{name: kind}``, developed on a training split (App. C).
 
     ``kind``:
-    - ``ml`` — weights learned from label correlations; null policy chosen
-      from the training feature sparsity (dense -> penalize, sparse ->
-      renormalize), mirroring what a developer sees.
+    - ``ml`` — weights learned from label correlations.
     - ``rule`` — fixed hand-crafted-style weights: structured attributes
       dominate (the rule "same brand/cpu/ram is a duplicate"), title breaks
-      ties; null policy from training sparsity.
+      ties.
     - ``hybrid`` — textual attributes dominate with a structured bonus.
 
-    In every case the threshold is fitted to maximise training f1.
+    Every kind takes its null policy from the training feature sparsity
+    (dense -> penalize, sparse -> renormalize), mirroring what a developer
+    sees, and its threshold from the best training f1: all from one cached
+    feature frame and one ``select`` of the matchers' similarity columns.
     """
-    if kind != "ml" and kind not in _FIXED_WEIGHTS:
-        raise ValueError(f"unknown matcher kind {kind!r}")
+    for kind in kinds.values():
+        if kind != "ml" and kind not in _FIXED_WEIGHTS:
+            raise ValueError(f"unknown matcher kind {kind!r}")
     features = dict(features or DEFAULT_FEATURES)
-    m = Matcher(name=name, features=features)
-    feat_cols = [f"f_{a}" for a in features]
-    feats_df = compute_features(train_pairs_with_labels, train_dataset, features).cache()
+    cols = {feature_column(a, sim): a for a, sim in features.items()}
+    feats_df = compute_features(
+        train_pairs_with_labels, train_dataset, features.items()
+    ).cache()
     try:
         feats = feats_df.toPandas()
-        null_rate = float(feats[feat_cols].isna().mean().mean())
-        m.null_policy = "penalize" if null_rate < 0.25 else "renormalize"
-        if kind == "ml":
-            m.weights = fit_weights(feats, feat_cols)
-        else:
-            m.weights = {a: w for a, w in _FIXED_WEIGHTS[kind].items() if a in features}
-        # Threshold fit on training scores, from the same feature frame.
-        pdf = m.score_features(feats_df).select("similarity", "label").toPandas()
+        null_rate = float(feats[list(cols)].isna().mean().mean())
+        policy = "penalize" if null_rate < 0.25 else "renormalize"
+        ms = []
+        for name, kind in kinds.items():
+            if kind == "ml":
+                weights = fit_weights(feats, cols)
+            else:
+                weights = {a: w for a, w in _FIXED_WEIGHTS[kind].items() if a in features}
+            ms.append(Matcher(name, dict(features), weights, policy))
+        scores = feats_df.select(
+            "label", *[m.similarity().alias(f"_s{i}") for i, m in enumerate(ms)]
+        ).toPandas()
     finally:
         feats_df.unpersist()
-    m.threshold, _ = fit_threshold(pdf["similarity"], pdf["label"])
-    return m
+    for i, m in enumerate(ms):
+        m.threshold, _ = fit_threshold(scores[f"_s{i}"], scores["label"])
+    return ms

@@ -155,6 +155,7 @@ class SigmodSplit:
     gold_clustering: DataFrame
     gold_pairs: DataFrame
     labeled_pairs: DataFrame  # (id1, id2, label) — the contest-style universe
+    n_labeled: int  # rows of labeled_pairs: the universe size, known without a job
 
     @property
     def attributes(self) -> list[str]:
@@ -345,6 +346,7 @@ def sigmod_split(
         gold_clustering=spark.createDataFrame(gold_df),
         gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
         labeled_pairs=spark.createDataFrame(labeled),
+        n_labeled=len(labeled),
     )
 
 
@@ -449,4 +451,5 @@ def case_study_dataset(
         gold_clustering=spark.createDataFrame(pd.DataFrame(gold)),
         gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
         labeled_pairs=spark.createDataFrame(labeled),
+        n_labeled=len(labeled),
     )

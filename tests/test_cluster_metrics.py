@@ -57,6 +57,19 @@ class TestIntersections:
         with pytest.raises(ValueError, match=r"record 'c'"):
             _table(spark, {"a": 1, "b": 1, "c": 1, "e": 2}, {"a": 1, "b": 1, "d": 2})
 
+    @pytest.mark.parametrize(
+        "exp,truth,named",
+        [
+            ([("a", 1), ("a", 2), ("b", 1)], [("a", 1), ("b", 1)], "a"),
+            # "c" repeats in exp, "b" in truth: "b" is the least.
+            ([("b", 1), ("c", 1), ("c", 2)], [("b", 1), ("b", 1), ("c", 1)], "b"),
+        ],
+    )
+    def test_record_listed_twice_raises_naming_it(self, spark, exp, truth, named):
+        e, t = (spark.createDataFrame(x, "rid string, cluster int") for x in (exp, truth))
+        with pytest.raises(ValueError, match=rf"record '{named}' .* or two rows in one"):
+            CM.intersections(e, t)
+
     def test_null_cluster_counts_as_missing(self, spark):
         exp = spark.createDataFrame([("a", 1), ("b", None)], "rid string, cluster int")
         truth = spark.createDataFrame([("a", 1), ("b", 1)], "rid string, cluster int")

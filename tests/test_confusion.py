@@ -1,10 +1,17 @@
 """Tests for repro.core.confusion — Fig. 2 confusion matrix over pair sets."""
+import itertools
+
+import duckdb
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core.confusion import (
     ConfusionCounts,
     confusion_counts,
+    confusion_grid,
     confusion_sets,
     pair_universe_size,
 )
@@ -114,3 +121,69 @@ class TestConfusionCounts:
         gold = _pairs(spark, [("a", "b")])
         c = confusion_counts(exp, gold, n_records=3)
         assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 1, 2)
+
+
+PAIRS = list(itertools.combinations("abcdef", 2))
+pair_sets = st.sets(st.sampled_from(PAIRS))
+
+
+def _duckdb_cells(gold: set, exps: list[set]) -> list[tuple[int, int, int]]:
+    """(tp, fp, fn) of each experiment, from joins over the raw pair sets."""
+    rows = [("gold", *p) for p in gold] + [
+        (f"e{i}", *p) for i, e in enumerate(exps) for p in e
+    ]
+    con = duckdb.connect()
+    try:
+        con.register("t", pd.DataFrame(rows, columns=["name", "id1", "id2"], dtype=str))
+        out = []
+        for i in range(len(exps)):
+            e = f"(SELECT id1, id2 FROM t WHERE name = 'e{i}')"
+            g = "(SELECT id1, id2 FROM t WHERE name = 'gold')"
+            out.append(
+                con.execute(
+                    f"""
+                    SELECT (SELECT count(*) FROM {e} e JOIN {g} g USING (id1, id2)),
+                           (SELECT count(*) FROM {e} e ANTI JOIN {g} g USING (id1, id2)),
+                           (SELECT count(*) FROM {g} g ANTI JOIN {e} e USING (id1, id2))
+                    """
+                ).fetchone()
+            )
+        return out
+    finally:
+        con.close()
+
+
+class TestConfusionGrid:
+    @settings(max_examples=15, deadline=None)
+    @given(gold=pair_sets, exps=st.lists(pair_sets, min_size=1, max_size=4))
+    @example(gold=set(PAIRS[:3]), exps=[set(), set(PAIRS[2:5])])
+    @example(gold=set(), exps=[set(PAIRS[:2])])
+    def test_matches_duckdb(self, spark, gold, exps):
+        # One row per pair of any set; a pair outside experiment i has a
+        # NULL score there, so its predicate is NULL, not false. Pairs
+        # found only in gold are FN of every experiment.
+        rows = [
+            (a, b, (a, b) in gold, *[1.0 if (a, b) in e else None for e in exps])
+            for a, b in sorted(gold.union(*exps))
+        ]
+        schema = ", ".join(
+            ["id1 string", "id2 string", "gold boolean"]
+            + [f"e{i} double" for i in range(len(exps))]
+        )
+        cells = confusion_grid(
+            spark.createDataFrame(rows, schema),
+            {f"e{i}": F.col(f"e{i}") >= 0.5 for i in range(len(exps))},
+            F.col("gold"),
+            pair_universe_size(6),
+        )
+        assert list(cells) == [f"e{i}" for i in range(len(exps))]
+        for c, ref in zip(cells.values(), _duckdb_cells(gold, exps)):
+            assert (c.tp, c.fp, c.fn) == ref
+            assert c.total == pair_universe_size(6)
+
+    def test_rejects_too_small_universe(self, spark):
+        pairs = spark.createDataFrame(
+            [("a", "b", True), ("c", "d", False)], "id1 string, id2 string, g boolean"
+        )
+        with pytest.raises(ValueError, match="universe of 1 pairs"):
+            confusion_grid(pairs, {"all": F.lit(True)}, F.col("g"), 1)

@@ -85,6 +85,14 @@ class TestSparkPairSweep:
         rows = [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")]
         return spark.createDataFrame(pd.DataFrame(rows, columns=["id1", "id2"]))
 
+    def test_empty_gold_has_zero_recall(self, spark, scored):
+        # recall is tp / |G|: with |G| = 0 it is 0, as in metrics.recall,
+        # not a division by zero.
+        gold = spark.createDataFrame([], "id1 string, id2 string")
+        rows = spark_pair_sweep(scored, gold).collect()
+        assert len(rows) == 5
+        assert all(r["recall"] == 0.0 and r["f1"] == 0.0 for r in rows)
+
     def test_counts_per_threshold(self, scored, gold):
         out = {r["similarity"]: r for r in spark_pair_sweep(scored, gold).collect()}
         assert out[0.95]["tp"] == 1 and out[0.95]["predicted"] == 1

@@ -78,6 +78,6 @@ class TestComponents:
     def test_evaluate_returns_unit_metrics(self, spark):
         splits = load_splits(spark, scale=0.1)
         m = develop_all(splits)["D2"][0]
-        res = evaluate(m, splits[("D2", "train")])
+        res = evaluate([m], splits[("D2", "train")])[m.name]
         assert set(res) == {"precision", "recall", "f1"}
         assert all(0 <= v <= 1 for v in res.values())

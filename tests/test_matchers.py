@@ -5,7 +5,7 @@ import pytest
 from repro.matchgen.matchers import (
     Matcher,
     compute_features,
-    develop_matcher,
+    develop_matchers,
     fit_threshold,
     fit_weights,
 )
@@ -37,18 +37,20 @@ def _pairs(spark, rows, cols=("id1", "id2")):
 class TestComputeFeatures:
     def test_feature_columns_created(self, spark, dataset, features):
         pairs = _pairs(spark, [("r1", "r2")])
-        out = compute_features(pairs, dataset, features)
-        assert {"f_title", "f_brand", "f_ram"} <= set(out.columns)
+        out = compute_features(pairs, dataset, features.items())
+        assert {"f_title__jaccard", "f_brand__levenshtein", "f_ram__equality"} <= set(
+            out.columns
+        )
 
     def test_null_attribute_gives_null_feature(self, spark, dataset, features):
         pairs = _pairs(spark, [("r3", "r4")])
-        row = compute_features(pairs, dataset, features).collect()[0]
-        assert row["f_brand"] is None
-        assert row["f_ram"] == pytest.approx(1.0)
+        row = compute_features(pairs, dataset, features.items()).collect()[0]
+        assert row["f_brand__levenshtein"] is None
+        assert row["f_ram__equality"] == pytest.approx(1.0)
 
     def test_extra_pair_columns_preserved(self, spark, dataset, features):
         pairs = _pairs(spark, [("r1", "r2", 1)], cols=("id1", "id2", "label"))
-        out = compute_features(pairs, dataset, features)
+        out = compute_features(pairs, dataset, features.items())
         assert "label" in out.columns
 
 
@@ -129,28 +131,28 @@ class TestFitWeights:
                 "label": [1, 1, 0, 0],
             }
         )
-        w = fit_weights(df, ["f_good", "f_noise"])
+        w = fit_weights(df, {"f_good": "good", "f_noise": "noise"})
         assert w["good"] > w["noise"]
 
     def test_weights_sum_to_one(self):
         df = pd.DataFrame(
             {"f_a": [0.9, 0.1], "f_b": [0.8, 0.2], "label": [1, 0]}
         )
-        w = fit_weights(df, ["f_a", "f_b"])
+        w = fit_weights(df, {"f_a": "a", "f_b": "b"})
         assert sum(w.values()) == pytest.approx(1.0)
 
     def test_constant_feature_gets_floor(self):
         df = pd.DataFrame(
             {"f_const": [0.5, 0.5, 0.5], "f_sig": [0.9, 0.8, 0.1], "label": [1, 1, 0]}
         )
-        w = fit_weights(df, ["f_const", "f_sig"])
+        w = fit_weights(df, {"f_const": "const", "f_sig": "sig"})
         assert w["const"] < w["sig"]
 
     def test_nulls_treated_as_zero(self):
         df = pd.DataFrame(
             {"f_a": [0.9, None, 0.1, None], "label": [1, 1, 0, 0]}
         )
-        w = fit_weights(df, ["f_a"])
+        w = fit_weights(df, {"f_a": "a"})
         assert w["a"] == pytest.approx(1.0)
 
 
@@ -164,7 +166,7 @@ class TestDevelopMatcher:
         )
 
     def test_ml_matcher_learns_and_separates(self, spark, dataset, training, features):
-        m = develop_matcher("m", training, dataset, kind="ml", features=features)
+        m = develop_matchers({"m": "ml"}, training, dataset, features=features)[0]
         assert m.null_policy in {"penalize", "renormalize"}
         pred = m.predict(training, dataset)
         got = {(r["id1"], r["id2"]) for r in pred.collect()}
@@ -172,10 +174,10 @@ class TestDevelopMatcher:
 
     @pytest.mark.parametrize("kind", ["rule", "hybrid"])
     def test_other_kinds_develop(self, spark, dataset, training, features, kind):
-        m = develop_matcher("m", training, dataset, kind=kind, features=features)
+        m = develop_matchers({"m": kind}, training, dataset, features=features)[0]
         assert m.threshold > 0
         assert set(m.weights) <= {"title", "brand", "ram"}
 
     def test_unknown_kind_raises(self, spark, dataset, training, features):
         with pytest.raises(ValueError):
-            develop_matcher("m", training, dataset, kind="wat", features=features)
+            develop_matchers({"m": "wat"}, training, dataset, features=features)

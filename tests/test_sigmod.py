@@ -53,6 +53,9 @@ class TestStructure:
         missing = x2.gold_pairs.join(pos, ["id1", "id2"], "left_anti").count()
         assert missing == 0
 
+    def test_n_labeled_is_the_labeled_row_count(self, x2):
+        assert x2.n_labeled == x2.labeled_pairs.count()
+
     def test_labeled_negatives_are_negative(self, x2):
         neg = x2.labeled_pairs.filter(F.col("label") == 0).select("id1", "id2")
         overlap = neg.join(x2.gold_pairs, ["id1", "id2"]).count()
@@ -102,9 +105,11 @@ class TestDuplicateSignal:
         from repro.matchgen.matchers import compute_features
 
         feats = compute_features(
-            x2.gold_pairs, x2.dataset, {"title": "jaccard", "description": "jaccard"}
+            x2.gold_pairs, x2.dataset, {("title", "jaccard"), ("description", "jaccard")}
         )
-        avg = feats.agg(F.avg("f_title"), F.avg("f_description")).first()
+        avg = feats.agg(
+            F.avg("f_title__jaccard"), F.avg("f_description__jaccard")
+        ).first()
         assert avg[0] > 0.4
         # Description pairs (when present) are near-identical.
         assert avg[1] is None or avg[1] > 0.8

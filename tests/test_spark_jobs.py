@@ -7,13 +7,17 @@ table is not shuffled to attach its records.
 """
 import random
 import uuid
+from functools import reduce
 
 import pytest
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core import cluster_metrics, confusion, noground
 from repro.core.clustering import connected_components
+from repro.experiments import table3
 from repro.explore import attributes, error_analysis, setops, sorting
-from repro.matchgen import blocking, matchers
+from repro.matchgen import blocking, matchers, sigmod
 from repro.profiling import dataset_profile
 
 
@@ -55,10 +59,30 @@ def _named(exps, n):
     return {f"e{i}": e for i, e in enumerate(exps[:n])}
 
 
+def _grid(gold, exps, n):
+    # One membership row per pair: a flag per experiment (NULL where the
+    # pair is not in it) and one for gold, from one union and one grouping.
+    named = {**_named(exps, n), "gold": gold}
+    members = reduce(
+        DataFrame.unionByName,
+        [df.select("id1", "id2", F.lit(name).alias("src")) for name, df in named.items()],
+    )
+    flags = members.groupBy("id1", "id2").agg(
+        *[F.max(F.when(F.col("src") == name, True)).alias(name) for name in named]
+    )
+    return confusion.confusion_grid(
+        flags,
+        {name: F.col(name) for name in _named(exps, n)},
+        F.col("gold"),
+        confusion.pair_universe_size(120),
+    )
+
+
 VIEWS = {
     "confusion_counts": lambda gold, exps, n: confusion.confusion_counts(
         exps[n - 1], gold, n_records=120
     ),
+    "confusion_grid": _grid,
     "venn_regions": lambda gold, exps, n: setops.venn_regions(_named(exps, n)).collect(),
     "missed_by_at_least": lambda gold, exps, n: setops.missed_by_at_least(
         gold, _named(exps, n), 1
@@ -121,7 +145,7 @@ def _executed_plans(spark, run) -> str:
 
 PAIR_RECORD_VIEWS = {
     "compute_features": lambda exps, records: matchers.compute_features(
-        exps[0], records, {"name": "jaccard"}
+        exps[0], records, {("name", "jaccard")}
     ).collect(),
     "enrich_with_records": lambda exps, records: setops.enrich_with_records(
         exps[0], records
@@ -229,3 +253,39 @@ def test_jobs_do_not_grow_with_attributes(spark, inputs, wide_records, view):
     assert _jobs(spark, lambda: run(exps, wide_records, attrs[:1])) == _jobs(
         spark, lambda: run(exps, wide_records, attrs)
     )
+
+
+@pytest.fixture(scope="module")
+def split(spark):
+    """A small cached SIGMOD-like split, as ``table3.load_splits`` caches it."""
+    s = sigmod.sigmod_split(spark, "D2", "train", scale=0.1)
+    for df in (s.dataset, s.labeled_pairs):
+        df.cache().count()
+    yield s
+    for df in (s.dataset, s.labeled_pairs):
+        df.unpersist()
+
+
+def test_table3_evaluate_jobs_do_not_grow_with_matchers(spark, split):
+    # One feature frame and one aggregate per split, however many matchers
+    # and features: the last three add (attr, sim) pairs of their own.
+    other = {"title": "levenshtein", "brand": "jaccard"}
+    ms = [
+        matchers.Matcher(f"m{i}", null_policy=policy, threshold=0.3 + 0.1 * i)
+        for i, policy in enumerate(["penalize", "renormalize"] * 3)
+    ]
+    for m in ms[3:]:
+        m.features = dict(other)
+    assert _jobs(spark, lambda: table3.evaluate(ms[:3], split)) == _jobs(
+        spark, lambda: table3.evaluate(ms, split)
+    )
+
+
+def test_develop_matchers_rejects_an_unknown_kind_before_any_job(spark, split):
+    def run():
+        with pytest.raises(ValueError, match="unknown matcher kind 'wat'"):
+            matchers.develop_matchers(
+                {"a": "ml", "b": "wat"}, split.labeled_pairs, split.dataset
+            )
+
+    assert _jobs(spark, run) == 0
