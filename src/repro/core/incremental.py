@@ -119,7 +119,9 @@ def _prepare(
             f"{len(truth_labels)} truth labels given for {n_records} records"
         )
     for m in matches:
-        _, a, b = m
+        sim, a, b = m
+        if sim != sim:  # NaN: the sort below would leave the matches unsorted
+            raise ValueError(f"match {m!r}: similarity is NaN")
         if not (
             type(a) is int and type(b) is int
             and 0 <= a < n_records and 0 <= b < n_records
@@ -159,8 +161,9 @@ def confusion_series(
     together with every match tied with the last of them, transitively
     closed. Where ties absorb a whole range, a point repeats the one before
     it, so a tied input can have fewer than ``s`` distinct points.
-    Raises ``ValueError`` on a label count other than ``n_records`` or on a
-    record id that is not an int in range.
+    Raises ``ValueError`` on a label count other than ``n_records``, on a
+    record id that is not an int in range, or on a NaN similarity (the first
+    such match is named).
     """
     ordered = _prepare(n_records, truth_labels, matches)
     point = _point_maker(n_records, truth_labels)

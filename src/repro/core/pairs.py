@@ -25,6 +25,16 @@ def canonicalize(pairs: DataFrame, id1: str = "id1", id2: str = "id2") -> DataFr
     Extra columns (e.g. ``similarity``) are preserved; for duplicate rows of
     the same pair the maximum similarity wins (mirrors Snowman's import
     normalisation, which keeps one row per pair).
+
+    The pair dedup of the codebase. The result is hash-partitioned on
+    ``(id1, id2)`` into the session's ``defaultParallelism`` partitions, one
+    per core: the dedup reuses that one exchange, and joins and aggregates
+    on the pair key shuffle only their other side. The count is set here
+    because a cached plan runs without AQE
+    (``spark.sql.optimizer.canChangeCachedPlanOutputPartitioning`` is off by
+    default), so nothing would coalesce ``spark.sql.shuffle.partitions``
+    small partitions, and every later scan of a cached result would run that
+    many tasks.
     """
     lo = F.least(F.col(id1), F.col(id2))
     hi = F.greatest(F.col(id1), F.col(id2))
@@ -35,6 +45,7 @@ def canonicalize(pairs: DataFrame, id1: str = "id1", id2: str = "id2") -> DataFr
         .drop(id1, id2)
         .withColumnRenamed("_lo", "id1")
         .withColumnRenamed("_hi", "id2")
+        .repartition(pairs.sparkSession.sparkContext.defaultParallelism, "id1", "id2")
     )
     extra = [c for c in out.columns if c not in PAIR_COLS]
     if extra:

@@ -48,60 +48,62 @@ def run_case_study(
     """Run all five solutions and the three §5.4 evaluations.
 
     The solutions are the similarity columns of one cached frame; one join
-    with gold and one aggregate count all their confusion cells.
+    with gold and one aggregate count all their confusion cells. Every frame
+    cached here is unpersisted before returning, also on an error.
 
     Returns ``{"metrics": ..., "threshold_audit": ..., "missed": ...}``.
     """
     split = case_study_dataset(spark, scale=scale, seed=seed)
-    split.dataset.cache().count()
+    dataset = split.dataset.cache()
     gold = split.gold_pairs.cache()
-    n_records = split.dataset.count()
-    gold_size = gold.count()
     candidates = token_blocking(
-        split.dataset, "name", max_token_df=max(40, int(60 * scale))
+        dataset, "name", max_token_df=max(40, int(60 * scale))
     ).cache()
-    candidates.count()
-
     key = ["id1", "id2"]
     features = {f for s in SOLUTIONS for f in s.features.items()}
     sims = [s.similarity().alias(s.name) for s in SOLUTIONS]
-    feats = compute_features(candidates, split.dataset, features)
-    scored = feats.select(*key, *sims).cache()
-    found = {s.name: F.col(s.name) >= s.threshold for s in SOLUTIONS}
-    flagged = scored.join(gold.select(*key, F.lit(True).alias("_g")), key, "full_outer")
-    cells = confusion_grid(flagged, found, F.col("_g"), pair_universe_size(n_records))
+    scored = compute_features(candidates, dataset, features).select(*key, *sims).cache()
+    try:
+        n_records = dataset.count()
+        gold_size = gold.count()
+        candidates.count()
+        found = {s.name: F.col(s.name) >= s.threshold for s in SOLUTIONS}
+        flagged = scored.join(gold.select(*key, F.lit(True).alias("_g")), key, "full_outer")
+        cells = confusion_grid(flagged, found, F.col("_g"), pair_universe_size(n_records))
 
-    metric_rows, audit_rows = [], []
-    for sol in SOLUTIONS:
-        c = cells[sol.name]
-        metric_rows.append(
-            {
-                "solution": sol.name,
-                "threshold": sol.threshold,
-                "precision": precision(c),
-                "recall": recall(c),
-                "f1": f1(c),
-            }
-        )
-        # Threshold audit: pair-level sweep over all scored candidates.
-        sim = scored.select(*key, F.col(sol.name).alias("similarity"))
-        sweep = spark_pair_sweep(sim, gold, gold_size=gold_size).toPandas()
-        best = sweep.loc[sweep["f1"].idxmax()]
-        audit_rows.append(
-            {
-                "solution": sol.name,
-                "chosen_threshold": sol.threshold,
-                "chosen_f1": f1(c),
-                "best_threshold": float(best["similarity"]),
-                "best_f1": float(best["f1"]),
-                "f1_gain": float(best["f1"]) - f1(c),
-            }
-        )
+        metric_rows, audit_rows = [], []
+        for sol in SOLUTIONS:
+            c = cells[sol.name]
+            metric_rows.append(
+                {
+                    "solution": sol.name,
+                    "threshold": sol.threshold,
+                    "precision": precision(c),
+                    "recall": recall(c),
+                    "f1": f1(c),
+                }
+            )
+            # Threshold audit: pair-level sweep over all scored candidates.
+            sim = scored.select(*key, F.col(sol.name).alias("similarity"))
+            sweep = spark_pair_sweep(sim, gold, gold_size=gold_size).toPandas()
+            best = sweep.loc[sweep["f1"].idxmax()]
+            audit_rows.append(
+                {
+                    "solution": sol.name,
+                    "chosen_threshold": sol.threshold,
+                    "chosen_f1": f1(c),
+                    "best_threshold": float(best["similarity"]),
+                    "best_f1": float(best["f1"]),
+                    "f1_gain": float(best["f1"]) - f1(c),
+                }
+            )
 
-    missed = missed_by_at_least(
-        gold, {n: scored.filter(p).select(*key) for n, p in found.items()}, k=4
-    ).toPandas()
-    scored.unpersist()
+        missed = missed_by_at_least(
+            gold, {n: scored.filter(p).select(*key) for n, p in found.items()}, k=4
+        ).toPandas()
+    finally:
+        for df in (scored, candidates, gold, dataset):
+            df.unpersist()
     return {
         "metrics": pd.DataFrame(metric_rows),
         "threshold_audit": pd.DataFrame(audit_rows),

@@ -78,12 +78,18 @@ def run_table3(spark: SparkSession, scale: float = 1.0) -> pd.DataFrame:
 
     Returns a tidy DataFrame with columns ``developed_on, applied_to,
     matcher, precision, recall, f1``; ``matcher == "average"`` rows are the
-    paper's reported numbers.
+    paper's reported numbers. The splits' cached frames are unpersisted
+    before returning.
     """
     splits = load_splits(spark, scale)
-    matchers = develop_all(splits)
-    every = [m for ms in matchers.values() for m in ms]
-    results = {key: evaluate(every, split) for key, split in splits.items()}
+    try:
+        matchers = develop_all(splits)
+        every = [m for ms in matchers.values() for m in ms]
+        results = {key: evaluate(every, split) for key, split in splits.items()}
+    finally:
+        for split in splits.values():
+            split.dataset.unpersist()
+            split.labeled_pairs.unpersist()
     rows = []
     for dev_ds, ms in matchers.items():
         for key, split in splits.items():

@@ -54,7 +54,12 @@ def incorrect_outliers(scored: DataFrame, threshold: float, k: int) -> DataFrame
 
 
 def _with_partitions(scored: DataFrame, k: int) -> DataFrame:
-    """Split by similarity rank into k equally-sized partitions (0 = most similar)."""
+    """Split by similarity rank into k equally-sized partitions (0 = most similar).
+
+    The global rank window pulls every row into one partition: fine up to
+    ``clustering.MAX_EDGES``-scale results, the bound the platform already
+    puts on the matches it collects to the driver.
+    """
     w = Window.orderBy(F.col("similarity").desc(), "id1", "id2")
     return scored.withColumn(
         "partition",

@@ -28,6 +28,10 @@ def token_blocking(
     Tokens appearing in more than ``max_token_df`` records are dropped
     (stop-token pruning) so frequent words do not explode the block sizes —
     the quadratic cost inside a block is the classic blocking trade-off.
+    Pairs sharing several tokens are deduplicated by
+    :func:`~repro.core.pairs.canonicalize`, so the candidates come out
+    hash-partitioned on ``(id1, id2)`` into ``defaultParallelism``
+    partitions, and so do the scored results built from them.
     """
     toks = dataset.select(
         "rid",
@@ -52,7 +56,7 @@ def token_blocking(
         (F.col("a.token") == F.col("b.token"))
         & (F.col("a.rid") < F.col("b.rid")),
     ).select(F.col("a.rid").alias("id1"), F.col("b.rid").alias("id2"))
-    return pairs.dropDuplicates(["id1", "id2"])
+    return canonicalize(pairs)
 
 
 def sorted_neighborhood(
@@ -61,7 +65,10 @@ def sorted_neighborhood(
     """Candidate pairs within ``window`` positions of a sort on ``key_attribute``.
 
     The classic sorted-neighborhood method: sort by a blocking key and pair
-    every record with its ``window - 1`` successors.
+    every record with its ``window - 1`` successors. The global sort window
+    pulls every ``(rid, key)`` row into one partition: fine up to datasets
+    of ``clustering.MAX_EDGES`` records, the scale the platform's driver-side
+    closure is built for.
     """
     if window < 2:
         raise ValueError("window must be >= 2")

@@ -4,9 +4,26 @@ import pytest
 from repro.experiments.case_study import SOLUTIONS, run_case_study, summarize
 
 
+def _persisted(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
 @pytest.fixture(scope="module")
-def results(spark):
-    return run_case_study(spark, scale=0.3)
+def case_study_run(spark):
+    """The results, and the persisted RDDs before and after the run."""
+    before = _persisted(spark)
+    results = run_case_study(spark, scale=0.3)
+    return results, before, _persisted(spark)
+
+
+@pytest.fixture(scope="module")
+def results(case_study_run):
+    return case_study_run[0]
+
+
+def test_run_leaves_nothing_cached(case_study_run):
+    _, before, after = case_study_run
+    assert after == before
 
 
 class TestCaseStudy:

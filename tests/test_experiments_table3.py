@@ -14,9 +14,26 @@ from repro.experiments.table3 import (
 )
 
 
+def _persisted(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
 @pytest.fixture(scope="module")
-def tidy(spark):
-    return run_table3(spark, scale=0.15)
+def table3_run(spark):
+    """The tidy table, and the persisted RDDs before and after the run."""
+    before = _persisted(spark)
+    tidy = run_table3(spark, scale=0.15)
+    return tidy, before, _persisted(spark)
+
+
+@pytest.fixture(scope="module")
+def tidy(table3_run):
+    return table3_run[0]
+
+
+def test_run_leaves_nothing_cached(table3_run):
+    _, before, after = table3_run
+    assert after == before
 
 
 def _avg(tidy, dev, applied, metric="f1"):

@@ -285,6 +285,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="record ids must be ints"):
             engine(3, [0, 0, 1], [(0.5, 0, 1), bad], 2)
 
+    @ENGINES
+    def test_nan_similarity(self, engine):
+        # A NaN used to leave the sort unsorted: on these matches the two
+        # engines disagreed (tp 1 against 3 at point 3) and neither raised.
+        nan = float("nan")
+        matches = [(0.9, 0, 1), (nan, 1, 2), (0.8, 2, 3), (0.95, 3, 4), (0.1, 4, 5)]
+        with pytest.raises(ValueError, match=r"\(nan, 1, 2\): similarity is NaN"):
+            engine(6, [0, 0, 1, 1, 2, 2], matches, 6)
+
 
 class TestEdgeCases:
     def test_singleton_only_data(self):

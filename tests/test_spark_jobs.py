@@ -13,7 +13,7 @@ import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import cluster_metrics, confusion, noground
+from repro.core import cluster_metrics, confusion, noground, pairs
 from repro.core.clustering import connected_components
 from repro.experiments import table3
 from repro.explore import attributes, error_analysis, setops, sorting
@@ -21,7 +21,7 @@ from repro.matchgen import blocking, matchers, sigmod
 from repro.profiling import dataset_profile
 
 
-def _jobs(spark, run) -> int:
+def _job_ids(spark, run) -> list[int]:
     sc = spark.sparkContext
     group = f"test-{uuid.uuid4().hex}"
     sc.setJobGroup(group, group)
@@ -30,7 +30,18 @@ def _jobs(spark, run) -> int:
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return list(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _jobs(spark, run) -> int:
+    return len(_job_ids(spark, run))
+
+
+def _tasks(spark, run) -> int:
+    """Tasks that ``run`` completed; a stage shared by two jobs counts once."""
+    status = spark.sparkContext.statusTracker()
+    stages = {s for j in _job_ids(spark, run) for s in status.getJobInfo(j).stageIds}
+    return sum(status.getStageInfo(s).numCompletedTasks for s in stages)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +135,27 @@ def test_confusion_of_a_matcher_result_shuffles_only_gold(spark, inputs):
     finally:
         predicted.unpersist()
         candidates.unpersist()
+
+
+def test_pair_sets_have_one_partition_per_core(spark, inputs):
+    # A cached plan runs without AQE, so the partitions a pair set is cached
+    # with are the tasks of every later scan: one per core, not one per
+    # spark.sql.shuffle.partitions.
+    gold, exps, records = inputs
+    cores = spark.sparkContext.defaultParallelism
+    candidates = blocking.token_blocking(records, "name").cache()
+    canonical = pairs.canonicalize(exps[0].unionByName(gold)).cache()
+    matcher = matchers.Matcher("m", {"name": "jaccard"}, {"name": 1.0}, "penalize", 0.3)
+    predicted = matcher.predict(candidates, records).cache()
+    try:
+        assert predicted.count() > 0 and canonical.count() > 0
+        assert candidates.rdd.getNumPartitions() == cores
+        assert canonical.rdd.getNumPartitions() == cores
+        # One task per cached partition, and one for the final count.
+        assert _tasks(spark, predicted.count) <= cores + 1
+    finally:
+        for df in (predicted, canonical, candidates):
+            df.unpersist()
 
 
 def _executed_plans(spark, run) -> str:
