@@ -10,19 +10,20 @@ Two engines:
 - :func:`metric_metric_diagram` — closure-aware, via the Appendix-D
   incremental engine (experiment is transitively closed at every threshold,
   matching Snowman's concept of experiments).
-- :func:`spark_pair_sweep` — pair-level (no transitive closure): count
-  matches and gold members per distinct similarity, then running TP count
-  = cumulative sum of those counts, highest similarity first. This is the
-  variant Catalyst can pipeline and is used to evaluate e.g. the
-  decision-model stage (§3.2.1: pair-based metrics apply to intermediate,
-  non-closed stages).
+- :func:`pair_sweeps` — pair-level (no transitive closure), N results in
+  one pass: count matches and gold members per result and similarity, then
+  running TP count = cumulative sum of those counts, highest similarity
+  first. This is the variant Catalyst can pipeline and is used to evaluate
+  e.g. the decision-model stage (§3.2.1: pair-based metrics apply to
+  intermediate, non-closed stages); :func:`spark_pair_sweep` is its
+  one-result case.
 """
 from __future__ import annotations
 
 from typing import Hashable, Sequence
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.confusion import ConfusionCounts
@@ -78,51 +79,54 @@ def best_threshold(
     return float(row["threshold"]), float(row[metric])
 
 
+def pair_sweeps(
+    pairs: DataFrame, scores: dict[str, Column], is_gold: Column, gold_size: int
+) -> DataFrame:
+    """Pair-level precision/recall/f1 sweeps of N results in one pass.
+
+    ``pairs`` holds every pair of any result or of gold once; ``scores``
+    maps a result's name to its similarity (NULL: the pair is not in that
+    result) and ``is_gold`` marks gold pairs (NULL counts as false). Returns
+    ``(solution, similarity, tp, predicted, precision, recall, f1)``: per
+    result, the experiment "all its pairs with similarity >= s" at each
+    distinct ``s``, highest first (no transitive closure — the §3.2.1
+    intermediate-stage view). The running sums window over the per-(result,
+    similarity) counts in one partition, so neither window nor sort shuffles.
+    """
+    results = [
+        F.struct(F.lit(n).alias("solution"), s.alias("similarity")) for n, s in scores.items()
+    ]
+    w = Window.partitionBy("solution").orderBy(F.col("similarity").desc())
+    running = [F.sum(c).over(w).alias(c) for c in ("tp", "predicted")]
+    tp, p, r = F.col("tp"), F.col("precision"), F.col("recall")
+    return (
+        pairs.select(F.explode(F.array(*results)).alias("_r"), is_gold.alias("_g"))
+        .select("_r.*", "_g")
+        .filter(F.col("similarity").isNotNull())
+        .groupBy("solution", "similarity")
+        .agg(F.count_if("_g").alias("tp"), F.count("*").alias("predicted"))
+        .coalesce(1)
+        .select("solution", "similarity", *running)
+        .withColumn("precision", tp / F.col("predicted"))
+        # An empty gold standard has recall 0, as in ``metrics.recall``.
+        .withColumn("recall", tp / F.lit(gold_size) if gold_size else F.lit(0.0))
+        .withColumn("f1", F.when(p + r > 0, 2 * p * r / (p + r)).otherwise(F.lit(0.0)))
+        .orderBy("solution", F.col("similarity").desc())
+    )
+
+
 def spark_pair_sweep(
     scored_matches: DataFrame, gold: DataFrame, gold_size: int | None = None
 ) -> DataFrame:
     """Pair-level precision/recall/f1 at every distinct similarity value.
 
     ``scored_matches``: canonical pairs ``(id1, id2, similarity)``;
-    ``gold``: canonical gold pair set. Returns one row per distinct
-    similarity with the metrics of the experiment "all matches with
-    similarity >= that value" (no transitive closure — the §3.2.1
-    intermediate-stage view). One shuffle for the join and one for the
-    per-similarity counts; the running sums then window over the distinct
-    similarities only.
+    ``gold``: canonical gold pair set. The one-result :func:`pair_sweeps`
+    over their left join, without the ``solution`` column.
     """
     if gold_size is None:
         gold_size = gold.count()
-    flagged = scored_matches.join(
-        gold.select("id1", "id2", F.lit(1).alias("is_true")),
-        on=["id1", "id2"],
-        how="left",
-    ).withColumn("is_true", F.coalesce("is_true", F.lit(0)))
-    # Thresholding is >=: count per distinct similarity, then take the
-    # running sums over that small table, highest similarity first.
-    w = Window.orderBy(F.col("similarity").desc()).rowsBetween(
-        Window.unboundedPreceding, Window.currentRow
-    )
-    per_thr = (
-        flagged.groupBy("similarity")
-        .agg(F.sum("is_true").alias("_t"), F.count("*").alias("_n"))
-        .select(
-            "similarity",
-            F.sum("_t").over(w).alias("tp"),
-            F.sum("_n").over(w).alias("predicted"),
-        )
-    )
-    return (
-        per_thr.withColumn("precision", F.col("tp") / F.col("predicted"))
-        # An empty gold standard has recall 0, as in ``metrics.recall``.
-        .withColumn("recall", F.col("tp") / F.lit(gold_size) if gold_size else F.lit(0.0))
-        .withColumn(
-            "f1",
-            F.when(
-                F.col("precision") + F.col("recall") > 0,
-                2 * F.col("precision") * F.col("recall")
-                / (F.col("precision") + F.col("recall")),
-            ).otherwise(F.lit(0.0)),
-        )
-        .orderBy(F.col("similarity").desc())
-    )
+    key = ["id1", "id2"]
+    flagged = scored_matches.join(gold.select(*key, F.lit(True).alias("_g")), key, "left")
+    sweep = pair_sweeps(flagged, {"": F.col("similarity")}, F.col("_g"), gold_size)
+    return sweep.drop("solution")

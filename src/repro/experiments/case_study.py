@@ -19,7 +19,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.confusion import confusion_grid, pair_universe_size
-from repro.core.diagrams import spark_pair_sweep
+from repro.core.diagrams import pair_sweeps
 from repro.core.metrics import f1, precision, recall
 from repro.explore.setops import missed_by_at_least
 from repro.matchgen.blocking import token_blocking
@@ -47,29 +47,30 @@ def run_case_study(
 ) -> dict[str, pd.DataFrame]:
     """Run all five solutions and the three §5.4 evaluations.
 
-    The solutions are the similarity columns of one cached frame; one join
-    with gold and one aggregate count all their confusion cells. Every frame
-    cached here is unpersisted before returning, also on an error.
+    The solutions are the similarity columns of one frame. Its full outer
+    join with gold is cached once and read by one confusion aggregate, one
+    threshold-sweep pass and the missed-pair view, for all five solutions.
+    Every frame cached here is unpersisted before returning, also on an error.
 
     Returns ``{"metrics": ..., "threshold_audit": ..., "missed": ...}``.
     """
     split = case_study_dataset(spark, scale=scale, seed=seed)
     dataset = split.dataset.cache()
-    gold = split.gold_pairs.cache()
-    candidates = token_blocking(
-        dataset, "name", max_token_df=max(40, int(60 * scale))
-    ).cache()
+    candidates = token_blocking(dataset, "name", max_token_df=max(40, int(60 * scale)))
     key = ["id1", "id2"]
     features = {f for s in SOLUTIONS for f in s.features.items()}
     sims = [s.similarity().alias(s.name) for s in SOLUTIONS]
-    scored = compute_features(candidates, dataset, features).select(*key, *sims).cache()
+    scored = compute_features(candidates, dataset, features).select(*key, *sims)
+    gold = split.gold_pairs.select(*key, F.lit(True).alias("_g"))
+    flagged = scored.join(gold, key, "full_outer").cache()
     try:
         n_records = dataset.count()
-        gold_size = gold.count()
-        candidates.count()
         found = {s.name: F.col(s.name) >= s.threshold for s in SOLUTIONS}
-        flagged = scored.join(gold.select(*key, F.lit(True).alias("_g")), key, "full_outer")
         cells = confusion_grid(flagged, found, F.col("_g"), pair_universe_size(n_records))
+        # Threshold audit: pair-level sweeps over all scored candidates.
+        gold_size = cells[SOLUTIONS[0].name].positives
+        scores = {s.name: F.col(s.name) for s in SOLUTIONS}
+        sweeps = pair_sweeps(flagged, scores, F.col("_g"), gold_size).toPandas()
 
         metric_rows, audit_rows = [], []
         for sol in SOLUTIONS:
@@ -83,9 +84,8 @@ def run_case_study(
                     "f1": f1(c),
                 }
             )
-            # Threshold audit: pair-level sweep over all scored candidates.
-            sim = scored.select(*key, F.col(sol.name).alias("similarity"))
-            sweep = spark_pair_sweep(sim, gold, gold_size=gold_size).toPandas()
+            # Rows run from the highest similarity down: idxmax picks the first maximum.
+            sweep = sweeps[sweeps["solution"] == sol.name]
             best = sweep.loc[sweep["f1"].idxmax()]
             audit_rows.append(
                 {
@@ -99,10 +99,12 @@ def run_case_study(
             )
 
         missed = missed_by_at_least(
-            gold, {n: scored.filter(p).select(*key) for n, p in found.items()}, k=4
+            flagged.filter(F.col("_g")).select(*key),
+            {n: flagged.filter(p).select(*key) for n, p in found.items()},
+            k=4,
         ).toPandas()
     finally:
-        for df in (scored, candidates, gold, dataset):
+        for df in (flagged, dataset):
             df.unpersist()
     return {
         "metrics": pd.DataFrame(metric_rows),

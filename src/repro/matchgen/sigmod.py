@@ -162,6 +162,42 @@ class SigmodSplit:
         return [c for c in self.dataset.columns if c != "rid"]
 
 
+def _gold_pairs(gold: list[dict]) -> list[tuple[str, str]]:
+    """All intra-cluster pairs of a ``{rid, cluster}`` list, canonical id1 < id2."""
+    by_cluster: dict[str, list[str]] = {}
+    for g in gold:
+        by_cluster.setdefault(g["cluster"], []).append(g["rid"])
+    return [
+        (min(a, b), max(a, b))
+        for members in by_cluster.values()
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+    ]
+
+
+def _make_split(
+    spark: SparkSession,
+    name: str,
+    rows: list[dict],
+    gold: list[dict],
+    pos: list[tuple[str, str]],
+    neg: list[tuple[str, str]],
+) -> SigmodSplit:
+    """The split of records ``rows``: gold pairs ``pos``, labeled ``pos`` + ``neg``."""
+    labeled = pd.DataFrame(
+        [(a, b, 1) for a, b in pos] + [(a, b, 0) for a, b in neg],
+        columns=["id1", "id2", "label"],
+    )
+    return SigmodSplit(
+        name=name,
+        dataset=spark.createDataFrame(pd.DataFrame(rows)),
+        gold_clustering=spark.createDataFrame(pd.DataFrame(gold)),
+        gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
+        labeled_pairs=spark.createDataFrame(labeled),
+        n_labeled=len(labeled),
+    )
+
+
 def _title(ent: dict, rng: np.random.Generator, noise: list[str]) -> str:
     picks = [str(rng.choice(noise)) for _ in range(4)]
     return " ".join(
@@ -285,20 +321,7 @@ def sigmod_split(
             for k in range(first_rid, rid_n):
                 entity_boiler[f"{spec.name}_{k:05d}"] = boiler_key
 
-    df = pd.DataFrame(rows)
-    gold_df = pd.DataFrame(gold)
-
-    # Gold pairs: all intra-cluster pairs.
-    by_cluster: dict[str, list[str]] = {}
-    for r in gold:
-        by_cluster.setdefault(r["cluster"], []).append(r["rid"])
-    pos = [
-        (a, b)
-        for members in by_cluster.values()
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    ]
-    pos = [(min(a, b), max(a, b)) for a, b in pos]
+    pos = _gold_pairs(gold)
 
     # Labeled universe: positives + hard (same-brand) and random negatives.
     n_labeled = round(len(pos) / spec.positive_ratio)
@@ -336,18 +359,7 @@ def sigmod_split(
         seen.add((a, b))
         neg.append((a, b))
 
-    labeled = pd.DataFrame(
-        [(a, b, 1) for a, b in pos] + [(a, b, 0) for a, b in neg],
-        columns=["id1", "id2", "label"],
-    )
-    return SigmodSplit(
-        name=spec.name,
-        dataset=spark.createDataFrame(df),
-        gold_clustering=spark.createDataFrame(gold_df),
-        gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
-        labeled_pairs=spark.createDataFrame(labeled),
-        n_labeled=len(labeled),
-    )
+    return _make_split(spark, spec.name, rows, gold, pos, neg)
 
 
 def case_study_dataset(
@@ -433,23 +445,4 @@ def case_study_dataset(
         rows.append({"rid": "x4_hard", "name": hard, "price": rows[0]["price"]})
         gold.append({"rid": "x4_hard", "cluster": "c0"})
 
-    by_cluster: dict[str, list[str]] = {}
-    for g in gold:
-        by_cluster.setdefault(g["cluster"], []).append(g["rid"])
-    pos = [
-        (min(a, b), max(a, b))
-        for members in by_cluster.values()
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    ]
-    labeled = pd.DataFrame(
-        [(a, b, 1) for a, b in pos], columns=["id1", "id2", "label"]
-    )
-    return SigmodSplit(
-        name="x4",
-        dataset=spark.createDataFrame(pd.DataFrame(rows)),
-        gold_clustering=spark.createDataFrame(pd.DataFrame(gold)),
-        gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
-        labeled_pairs=spark.createDataFrame(labeled),
-        n_labeled=len(labeled),
-    )
+    return _make_split(spark, "x4", rows, gold, _gold_pairs(gold), [])

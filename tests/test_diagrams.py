@@ -1,11 +1,15 @@
 """Tests for repro.core.diagrams — metric/metric diagrams and Spark sweep."""
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core.diagrams import (
     best_threshold,
     diagram_points,
     metric_metric_diagram,
+    pair_sweeps,
     spark_pair_sweep,
 )
 from repro.core.incremental import Confusion
@@ -121,6 +125,20 @@ class TestSparkPairSweep:
         assert len(out) == 1
         assert out[0]["predicted"] == 3 and out[0]["tp"] == 2
 
+    def test_null_similarity_is_no_threshold(self, spark):
+        # A pair without a score is in no experiment "similarity >= s". It
+        # must not come back as a NULL-similarity row that counts every
+        # pair (predicted 3, recall 1, f1 0.8) and so wins the f1 maximum.
+        scored = spark.createDataFrame(
+            [("a", "b", 0.9), ("c", "d", None), ("e", "f", 0.4)],
+            "id1 string, id2 string, similarity double",
+        )
+        gold = spark.createDataFrame([("a", "b"), ("c", "d")], "id1 string, id2 string")
+        out = spark_pair_sweep(scored, gold).toPandas()
+        assert list(out["similarity"]) == [0.9, 0.4]
+        assert list(out["predicted"]) == [1, 2]
+        assert out.loc[out["f1"].idxmax(), "similarity"] == 0.9
+
     def test_matches_duckdb_cumulative(self, spark, scored, gold):
         from repro.oracle import assert_equivalent
 
@@ -143,3 +161,56 @@ class TestSparkPairSweep:
             scored=scored,
             gold=gold,
         )
+
+
+PAIRS = [(f"r{i}", f"r{j}") for i in range(4) for j in range(i + 1, 4)]
+# Few distinct scores, so ties within and across results are common.
+results = st.dictionaries(st.sampled_from(PAIRS), st.sampled_from([0.2, 0.5, 0.9]))
+
+
+def _reference_sweep(result: dict, gold: set) -> list[tuple]:
+    """(similarity, tp, predicted, precision, recall, f1) by cumulative counts."""
+    rows = []
+    for s in sorted(set(result.values()), reverse=True):
+        found = {p for p, v in result.items() if v >= s}
+        tp, n = len(found & gold), len(found)
+        p, r = tp / n, tp / len(gold) if gold else 0.0
+        rows.append((s, tp, n, p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0))
+    return rows
+
+
+class TestPairSweeps:
+    @settings(max_examples=6, deadline=None)
+    @given(
+        gold=st.sets(st.sampled_from(PAIRS)),
+        res=st.lists(results, min_size=2, max_size=4),
+    )
+    @example(gold=set(), res=[{PAIRS[0]: 0.5}, {PAIRS[1]: 0.9}])
+    @example(gold=set(PAIRS[:2]), res=[{}, {PAIRS[0]: 0.5, PAIRS[2]: 0.5}])
+    def test_matches_cumulative_reference(self, spark, gold, res):
+        # One row per pair of gold or of any result (gold-only rows as in a
+        # full outer join); a result's score is NULL where the pair is not
+        # in it.
+        names = [f"e{i}" for i in range(len(res))]
+        rows = [
+            (a, b, True if (a, b) in gold else None, *[r.get((a, b)) for r in res])
+            for a, b in sorted(gold.union(*res))
+        ]
+        schema = ", ".join(
+            ["id1 string", "id2 string", "gold boolean"] + [f"{n} double" for n in names]
+        )
+        pairs = spark.createDataFrame(rows, schema)
+        scores = {n: F.col(n) for n in names}
+        got = pair_sweeps(pairs, scores, F.col("gold"), len(gold)).collect()
+        assert [r["solution"] for r in got] == sorted(
+            n for n, r in zip(names, res) for _ in set(r.values())
+        )
+        gold_df = spark.createDataFrame(sorted(gold), "id1 string, id2 string")
+        for n, r in zip(names, res):
+            mine = [tuple(row)[1:] for row in got if row["solution"] == n]
+            assert mine == pytest.approx(_reference_sweep(r, gold))
+            alone = pairs.filter(F.col(n).isNotNull()).select(
+                "id1", "id2", F.col(n).alias("similarity")
+            )
+            sweep = spark_pair_sweep(alone, gold_df, gold_size=len(gold))
+            assert [tuple(row) for row in sweep.collect()] == mine

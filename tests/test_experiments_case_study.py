@@ -2,6 +2,7 @@
 import pytest
 
 from repro.experiments.case_study import SOLUTIONS, run_case_study, summarize
+from tests.test_spark_jobs import _job_ids
 
 
 def _persisted(spark) -> int:
@@ -10,10 +11,11 @@ def _persisted(spark) -> int:
 
 @pytest.fixture(scope="module")
 def case_study_run(spark):
-    """The results, and the persisted RDDs before and after the run."""
+    """The results, the run's Spark jobs, and the persisted RDDs before and after it."""
     before = _persisted(spark)
-    results = run_case_study(spark, scale=0.3)
-    return results, before, _persisted(spark)
+    out = {}
+    jobs = _job_ids(spark, lambda: out.update(run_case_study(spark, scale=0.3)))
+    return out, len(jobs), before, _persisted(spark)
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +24,15 @@ def results(case_study_run):
 
 
 def test_run_leaves_nothing_cached(case_study_run):
-    _, before, after = case_study_run
+    _, _, before, after = case_study_run
     assert after == before
+
+
+def test_run_is_one_labelled_frame_and_few_passes(case_study_run):
+    # One cached full outer join of the scored candidates with gold feeds
+    # the confusion grid, all five threshold sweeps and the missed pairs:
+    # 19 jobs on a 4-core box, against 42 with a join and sweep per solution.
+    assert case_study_run[1] <= 21
 
 
 class TestCaseStudy:

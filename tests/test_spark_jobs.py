@@ -13,7 +13,7 @@ import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import cluster_metrics, confusion, noground, pairs
+from repro.core import cluster_metrics, confusion, diagrams, noground, pairs
 from repro.core.clustering import connected_components
 from repro.experiments import table3
 from repro.explore import attributes, error_analysis, setops, sorting
@@ -70,23 +70,36 @@ def _named(exps, n):
     return {f"e{i}": e for i, e in enumerate(exps[:n])}
 
 
-def _grid(gold, exps, n):
-    # One membership row per pair: a flag per experiment (NULL where the
-    # pair is not in it) and one for gold, from one union and one grouping.
+def _memberships(gold, exps, n):
+    # One row per pair: a score per experiment and one for gold (NULL where
+    # the pair is not in it), from one union and one grouping.
     named = {**_named(exps, n), "gold": gold}
     members = reduce(
         DataFrame.unionByName,
         [df.select("id1", "id2", F.lit(name).alias("src")) for name, df in named.items()],
     )
-    flags = members.groupBy("id1", "id2").agg(
-        *[F.max(F.when(F.col("src") == name, True)).alias(name) for name in named]
+    score = F.abs(F.hash("id1", "id2", "src")) % 10 / 10
+    return members.groupBy("id1", "id2").agg(
+        *[F.max(F.when(F.col("src") == name, score)).alias(name) for name in named]
     )
+
+
+def _grid(gold, exps, n):
     return confusion.confusion_grid(
-        flags,
-        {name: F.col(name) for name in _named(exps, n)},
-        F.col("gold"),
+        _memberships(gold, exps, n),
+        {name: F.col(name).isNotNull() for name in _named(exps, n)},
+        F.col("gold").isNotNull(),
         confusion.pair_universe_size(120),
     )
+
+
+def _sweeps(gold, exps, n):
+    return diagrams.pair_sweeps(
+        _memberships(gold, exps, n),
+        {name: F.col(name) for name in _named(exps, n)},
+        F.col("gold").isNotNull(),
+        80,
+    ).collect()
 
 
 VIEWS = {
@@ -94,6 +107,7 @@ VIEWS = {
         exps[n - 1], gold, n_records=120
     ),
     "confusion_grid": _grid,
+    "pair_sweeps": _sweeps,
     "venn_regions": lambda gold, exps, n: setops.venn_regions(_named(exps, n)).collect(),
     "missed_by_at_least": lambda gold, exps, n: setops.missed_by_at_least(
         gold, _named(exps, n), 1
@@ -117,6 +131,24 @@ def test_confusion_counts_is_one_join_and_one_aggregate(spark, inputs):
     # 3 counts.
     gold, exps, _ = inputs
     assert _jobs(spark, lambda: confusion.confusion_counts(exps[0], gold, n_records=120)) <= 4
+
+
+def test_pair_sweep_of_a_matcher_result_sorts_no_shuffled_table(spark, inputs):
+    # The scored candidates keep their (id1, id2) partitioning, so the left
+    # join shuffles only gold; the per-similarity counts are one more
+    # shuffle, and their coalesced table needs no range sort for the window
+    # or the order: at most three jobs, against four with a global window.
+    gold, _, records = inputs
+    candidates = blocking.token_blocking(records, "name").cache()
+    matcher = matchers.Matcher("m", {"name": "jaccard"}, {"name": 1.0}, "penalize", 0.3)
+    scored = matcher.score(candidates, records).select("id1", "id2", "similarity").cache()
+    try:
+        assert scored.count() > 0
+        sweep = diagrams.spark_pair_sweep(scored, gold, gold_size=80)
+        assert _jobs(spark, sweep.collect) <= 3
+    finally:
+        scored.unpersist()
+        candidates.unpersist()
 
 
 def test_confusion_of_a_matcher_result_shuffles_only_gold(spark, inputs):
