@@ -5,40 +5,18 @@ Comparison happens at the pair level: ``TP = E ∩ G``, ``FP = E \\ G``,
 the pair universe rather than materialised — the universe is quadratic
 (class imbalance, §3.2.1), so only its cardinality is ever needed.
 
-The universe defaults to all C(n, 2) pairs of the dataset; SIGMOD-style
-benchmarks instead ship a labeled candidate pair list, which callers pass as
-``universe`` so that TN (and reduction ratio) are relative to it.
+:func:`confusion_counts` takes the universe of all C(n, 2) pairs of the
+dataset; SIGMOD-style benchmarks instead ship a labeled candidate pair
+list, whose size callers pass to :func:`confusion_grid` as ``total`` so
+that TN (and reduction ratio) are relative to it. The cells are a
+:class:`~repro.core.metrics.ConfusionCounts`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Cardinalities of the four confusion-matrix cells plus the universe size."""
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def positives(self) -> int:
-        """Ground-truth positives |G| (restricted to the universe)."""
-        return self.tp + self.fn
-
-    @property
-    def predicted(self) -> int:
-        """Predicted positives |E| (restricted to the universe)."""
-        return self.tp + self.fp
+from repro.core.metrics import ConfusionCounts
 
 
 def pair_universe_size(n_records: int) -> int:
@@ -88,27 +66,18 @@ def confusion_grid(
 
 
 def confusion_counts(
-    experiment: DataFrame,
-    gold: DataFrame,
-    *,
-    n_records: int | None = None,
-    universe_size: int | None = None,
+    experiment: DataFrame, gold: DataFrame, *, n_records: int
 ) -> ConfusionCounts:
-    """Count the confusion cells. Exactly one of ``n_records``/``universe_size``.
+    """Count the confusion cells over the universe of all C(n, 2) record pairs.
 
-    With ``n_records`` the universe is all C(n,2) record pairs; with
-    ``universe_size`` it is an explicit candidate/labeled-pair universe that
-    ``experiment`` and ``gold`` are assumed to be subsets of. The one-
-    experiment case of :func:`confusion_grid`, over the full outer join of
-    the two pair sets.
+    The one-experiment case of :func:`confusion_grid`, over the full outer
+    join of the two pair sets; for a labelled candidate-pair universe, call
+    :func:`confusion_grid` with its size.
     """
-    if (n_records is None) == (universe_size is None):
-        raise ValueError("pass exactly one of n_records / universe_size")
-    total = (
-        pair_universe_size(n_records) if n_records is not None else universe_size
-    )
     key = ["id1", "id2"]
     e = experiment.select(*key, F.lit(True).alias("_e"))
     g = gold.select(*key, F.lit(True).alias("_g"))
     pairs = e.join(g, key, "full_outer")
-    return confusion_grid(pairs, {"": F.col("_e")}, F.col("_g"), total)[""]
+    return confusion_grid(
+        pairs, {"": F.col("_e")}, F.col("_g"), pair_universe_size(n_records)
+    )[""]

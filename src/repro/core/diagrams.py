@@ -26,7 +26,6 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.confusion import ConfusionCounts
 from repro.core.incremental import Confusion, confusion_series
 from repro.core.metrics import ALL_METRICS
 
@@ -36,13 +35,9 @@ def diagram_points(
 ) -> pd.DataFrame:
     """Turn a confusion series into diagram rows (threshold, x, y)."""
     fx, fy = ALL_METRICS[x_metric], ALL_METRICS[y_metric]
-    rows = []
-    for c in series:
-        cc = ConfusionCounts(tp=c.tp, fp=c.fp, fn=c.fn, tn=c.tn)
-        rows.append(
-            {"threshold": c.threshold, x_metric: fx(cc), y_metric: fy(cc)}
-        )
-    return pd.DataFrame(rows)
+    return pd.DataFrame(
+        [{"threshold": c.threshold, x_metric: fx(c), y_metric: fy(c)} for c in series]
+    )
 
 
 def metric_metric_diagram(

@@ -34,16 +34,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
+from repro.core.metrics import ConfusionCounts
+
 
 @dataclass(frozen=True)
-class Confusion:
-    """One diagram data point: confusion cells at a similarity threshold."""
+class Confusion(ConfusionCounts):
+    """One diagram data point: the confusion cells at a similarity threshold."""
 
     threshold: float
-    tp: int
-    fp: int
-    fn: int
-    tn: int
 
 
 class UnionFind:
@@ -103,7 +101,7 @@ def _point_maker(
 
     def point(threshold: float, tp: int, predicted: int) -> Confusion:
         fn = gold_pairs - tp
-        return Confusion(threshold, tp, predicted - tp, fn, total - predicted - fn)
+        return Confusion(tp, predicted - tp, fn, total - predicted - fn, threshold)
 
     return point
 

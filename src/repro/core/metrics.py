@@ -1,18 +1,42 @@
 """Pair-based quality metrics (paper §3.2.1).
 
-All metrics are pure functions of a :class:`~repro.core.confusion.ConfusionCounts`
-— pair counting is the Spark job, metric arithmetic is constant-time, exactly
-as in Snowman. The selection mirrors the paper: precision, recall, f1
-[Menestrina et al.], reduction ratio [Köpcke & Rahm], f* [Hand et al.],
-Fowlkes–Mallows index, Matthews correlation coefficient, plus accuracy and
-balanced accuracy (the paper's class-imbalance caveat about TN-dependent
-metrics is documented on each).
+All metrics are pure functions of a :class:`ConfusionCounts` — pair
+counting is the Spark job (:mod:`repro.core.confusion`), metric arithmetic
+is constant-time, exactly as in Snowman. The selection mirrors the paper:
+precision, recall, f1 [Menestrina et al.], reduction ratio [Köpcke & Rahm],
+f* [Hand et al.], Fowlkes–Mallows index, Matthews correlation coefficient,
+plus accuracy and balanced accuracy (the paper's class-imbalance caveat
+about TN-dependent metrics is documented on each).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from repro.core.confusion import ConfusionCounts
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """Cardinalities of the four confusion-matrix cells."""
+
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+
+    @property
+    def total(self) -> int:
+        """The size of the pair universe."""
+        return self.tp + self.fp + self.fn + self.tn
+
+    @property
+    def positives(self) -> int:
+        """Ground-truth positives |G| (restricted to the universe)."""
+        return self.tp + self.fn
+
+    @property
+    def predicted(self) -> int:
+        """Predicted positives |E| (restricted to the universe)."""
+        return self.tp + self.fp
 
 
 def _safe_div(a: float, b: float) -> float:

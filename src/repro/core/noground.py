@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.clustering import match_graph
-from repro.explore.setops import tag_memberships
+from repro.core.pairs import tag_memberships
 
 
 def closure_violation_count(pairs: DataFrame, records: DataFrame) -> int:

@@ -1,10 +1,12 @@
-"""Canonical record-pair representation and clustering<->pairs conversion.
+"""Canonical record-pair representation and clustering->pairs conversion.
 
 Frost's formal model (paper §1.2): a dataset ``D`` is a collection of
 records; a record pair is an unordered 2-subset of ``D``; an experiment is
 either a set of matches ``E ⊆ [D]^2`` or a disjoint clustering of ``D``.
-This module provides the canonical DataFrame encodings of those objects
-and conversions between them.
+This module provides the canonical DataFrame encodings of those objects,
+the membership table of several pair sets, and the pair set of a
+clustering; the clustering of a pair set is
+:func:`repro.core.clustering.connected_components`.
 
 Conventions (DESIGN.md §6):
 
@@ -13,13 +15,17 @@ Conventions (DESIGN.md §6):
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.core.clustering import connected_components
 
 PAIR_COLS = ("id1", "id2")
 
 
-def canonicalize(pairs: DataFrame, id1: str = "id1", id2: str = "id2") -> DataFrame:
+def canonicalize(pairs: DataFrame) -> DataFrame:
     """Return pairs with ``id1 < id2``, self-pairs dropped, duplicates removed.
 
     Extra columns (e.g. ``similarity``) are preserved; for duplicate rows of
@@ -36,13 +42,11 @@ def canonicalize(pairs: DataFrame, id1: str = "id1", id2: str = "id2") -> DataFr
     small partitions, and every later scan of a cached result would run that
     many tasks.
     """
-    lo = F.least(F.col(id1), F.col(id2))
-    hi = F.greatest(F.col(id1), F.col(id2))
     out = (
-        pairs.withColumn("_lo", lo)
-        .withColumn("_hi", hi)
+        pairs.withColumn("_lo", F.least("id1", "id2"))
+        .withColumn("_hi", F.greatest("id1", "id2"))
         .filter(F.col("_lo") != F.col("_hi"))
-        .drop(id1, id2)
+        .drop("id1", "id2")
         .withColumnRenamed("_lo", "id1")
         .withColumnRenamed("_hi", "id2")
         .repartition(pairs.sparkSession.sparkContext.defaultParallelism, "id1", "id2")
@@ -85,6 +89,25 @@ def with_records(
     )
 
 
+def tag_memberships(experiments: dict[str, DataFrame]) -> DataFrame:
+    """Union of all pairs with one 0/1 membership column per experiment.
+
+    The output has columns ``id1, id2, in_<name>...`` — the master table from
+    which every Venn region / set expression is a filter.
+    """
+    tagged = [
+        e.select("id1", "id2", F.lit(name).alias("_src"))
+        for name, e in experiments.items()
+    ]
+    union = reduce(lambda a, b: a.unionByName(b), tagged)
+    return union.groupBy("id1", "id2").agg(
+        *[
+            F.max((F.col("_src") == name).cast("int")).alias(f"in_{name}")
+            for name in experiments
+        ]
+    )
+
+
 def pairs_from_clustering(clustering: DataFrame) -> DataFrame:
     """All intra-cluster pairs of a clustering ``(rid, cluster)``.
 
@@ -100,19 +123,6 @@ def pairs_from_clustering(clustering: DataFrame) -> DataFrame:
     )
 
 
-def clustering_from_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
-    """Transitively close a pair set into a clustering over ``records``.
-
-    ``records`` must expose a ``rid`` column covering the whole dataset so
-    that unmatched records become singleton clusters. Delegates to the
-    connected-components substrate (duplicate-clustering step 5 of the
-    matching pipeline, §1.2).
-    """
-    from repro.core.clustering import connected_components
-
-    return connected_components(pairs, records.select("rid"))
-
-
 def closure_missing_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     """Pairs implied by the transitive closure but absent from ``pairs``.
 
@@ -120,8 +130,7 @@ def closure_missing_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     (§3.2.3): "the minimum number of pairs that must be added … for it to be
     transitively closed". Returns the missing pairs as a canonical pair set.
     """
-    clustering = clustering_from_pairs(pairs, records)
-    closed = pairs_from_clustering(clustering)
+    closed = pairs_from_clustering(connected_components(pairs, records))
     return closed.join(
         pairs.select("id1", "id2"), on=["id1", "id2"], how="left_anti"
     )

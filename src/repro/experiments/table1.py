@@ -23,7 +23,6 @@ grows roughly with dataset size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import pandas as pd
 
@@ -50,19 +49,6 @@ PAPER_SECONDS = {
     "Songs 100k (scaled 1/5)": (1.6, 43.9),
     "Magellan Songs (scaled 1/10)": (6.1, 403.0),
 }
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    dataset: str
-    records: int
-    matches: int
-    custom_s: float
-    naive_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.naive_s / self.custom_s if self.custom_s else float("inf")
 
 
 def build_workload(name: str, seed: int = 0) -> DiagramWorkload:

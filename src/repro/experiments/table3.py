@@ -29,13 +29,16 @@ MATCHER_KINDS = ("ml", "rule", "hybrid")
 def load_splits(
     spark: SparkSession, scale: float = 1.0
 ) -> dict[tuple[str, str], SigmodSplit]:
-    """All four SIGMOD-like splits, cached for repeated evaluation."""
+    """All four SIGMOD-like splits, cached for repeated evaluation.
+
+    Starts no Spark job: each cache fills on the first action that reads it.
+    """
     out = {}
     for ds in ("D2", "D3"):
         for sp in ("train", "test"):
             s = sigmod_split(spark, ds, sp, scale=scale)
-            s.dataset.cache().count()
-            s.labeled_pairs.cache().count()
+            s.dataset.cache()
+            s.labeled_pairs.cache()
             out[(ds, sp)] = s
     return out
 

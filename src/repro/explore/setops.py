@@ -14,26 +14,7 @@ from functools import reduce
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pairs import with_records
-
-
-def tag_memberships(experiments: dict[str, DataFrame]) -> DataFrame:
-    """Union of all pairs with one 0/1 membership column per experiment.
-
-    The output has columns ``id1, id2, in_<name>...`` — the master table from
-    which every Venn region / set expression is a filter.
-    """
-    tagged = [
-        e.select("id1", "id2", F.lit(name).alias("_src"))
-        for name, e in experiments.items()
-    ]
-    union = reduce(lambda a, b: a.unionByName(b), tagged)
-    return union.groupBy("id1", "id2").agg(
-        *[
-            F.max((F.col("_src") == name).cast("int")).alias(f"in_{name}")
-            for name in experiments
-        ]
-    )
+from repro.core.pairs import tag_memberships, with_records
 
 
 def venn_regions(experiments: dict[str, DataFrame]) -> DataFrame:

@@ -15,35 +15,26 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.pairs import canonicalize
+from repro.text import words
 
 
 def token_blocking(
-    dataset: DataFrame,
-    attribute: str,
-    max_token_df: int = 50,
-    min_token_len: int = 2,
+    dataset: DataFrame, attribute: str, max_token_df: int = 50
 ) -> DataFrame:
-    """Candidate pairs sharing a token of ``attribute``.
+    """Candidate pairs sharing a lower-cased token of ``attribute``.
 
-    Tokens appearing in more than ``max_token_df`` records are dropped
-    (stop-token pruning) so frequent words do not explode the block sizes —
-    the quadratic cost inside a block is the classic blocking trade-off.
+    Tokens shorter than two characters are ignored, and tokens appearing
+    in more than ``max_token_df`` records are dropped (stop-token pruning)
+    so frequent words do not explode the block sizes — the quadratic cost
+    inside a block is the classic blocking trade-off.
     Pairs sharing several tokens are deduplicated by
     :func:`~repro.core.pairs.canonicalize`, so the candidates come out
     hash-partitioned on ``(id1, id2)`` into ``defaultParallelism``
     partitions, and so do the scored results built from them.
     """
-    toks = dataset.select(
-        "rid",
-        F.explode(
-            F.array_distinct(
-                F.filter(
-                    F.split(F.lower(F.col(attribute).cast("string")), r"\s+"),
-                    lambda t: F.length(t) >= min_token_len,
-                )
-            )
-        ).alias("token"),
-    )
+    text = F.lower(F.col(attribute).cast("string"))
+    long_words = F.filter(words(text), lambda t: F.length(t) >= 2)
+    toks = dataset.select("rid", F.explode(F.array_distinct(long_words)).alias("token"))
     keep = (
         toks.groupBy("token")
         .agg(F.count("*").alias("df"))

@@ -102,25 +102,29 @@ class Matcher:
         )
 
 
+#: least weight of a feature before normalisation, a small regularisation.
+WEIGHT_FLOOR = 0.05
+
+
 def fit_weights(
-    scored_features: pd.DataFrame, columns: dict[str, str], floor: float = 0.05
+    scored_features: pd.DataFrame, columns: dict[str, str]
 ) -> dict[str, float]:
     """Correlation-based feature weights (the "supervised ML" substrate).
 
     ``columns`` maps each feature column to its attribute; the weights are
     keyed by attribute. Weight of a feature = max(corr(feature, label),
-    floor) computed over the labeled training candidates with the matcher's
-    null handling already applied (NaN -> 0). Normalised to sum 1. A floor
-    keeps every feature in the model, as a small regularisation.
+    WEIGHT_FLOOR) computed over the labeled training candidates with the
+    matcher's null handling already applied (NaN -> 0). Normalised to sum
+    1. The floor keeps every feature in the model.
     """
     y = scored_features["label"].astype(float)
     w = {}
     for c, attr in columns.items():
         x = scored_features[c].astype(float).fillna(0.0)
         if x.std() == 0 or y.std() == 0:
-            w[attr] = floor
+            w[attr] = WEIGHT_FLOOR
         else:
-            w[attr] = max(float(np.corrcoef(x, y)[0, 1]), floor)
+            w[attr] = max(float(np.corrcoef(x, y)[0, 1]), WEIGHT_FLOOR)
     total = sum(w.values())
     return {a: v / total for a, v in w.items()}
 

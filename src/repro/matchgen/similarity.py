@@ -12,11 +12,11 @@ from __future__ import annotations
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
+from repro.text import words
+
 
 def _tokens(c: Column) -> Column:
-    return F.array_distinct(
-        F.filter(F.split(F.lower(c.cast("string")), r"\s+"), lambda t: t != "")
-    )
+    return F.array_distinct(words(F.lower(c.cast("string"))))
 
 
 def token_jaccard(a: Column, b: Column) -> Column:

@@ -71,22 +71,17 @@ def positive_ratio(
     return pos / denom if denom else 0.0
 
 
-def vocabulary(dataset: DataFrame, attributes: list[str] | None = None) -> DataFrame:
-    """The whitespace-token vocabulary set of a dataset, as a 1-column DF."""
-    attrs = _attr_cols(dataset, attributes)
+def vocabulary(dataset: DataFrame) -> DataFrame:
+    """The whitespace-token vocabulary of every column but ``rid``, as a 1-column DF."""
+    attrs = _attr_cols(dataset, None)
     text = F.concat_ws(" ", *[F.col(a).cast("string") for a in attrs])
     return dataset.select(F.explode(words(text)).alias("token")).distinct()
 
 
-def vocabulary_similarity(
-    d1: DataFrame,
-    d2: DataFrame,
-    attributes1: list[str] | None = None,
-    attributes2: list[str] | None = None,
-) -> float:
+def vocabulary_similarity(d1: DataFrame, d2: DataFrame) -> float:
     """VS(D1, D2): Jaccard coefficient of the two vocabularies (§3.1.3)."""
-    v1 = vocabulary(d1, attributes1).withColumn("_in1", F.lit(True))
-    v2 = vocabulary(d2, attributes2).withColumn("_in2", F.lit(True))
+    v1 = vocabulary(d1).withColumn("_in1", F.lit(True))
+    v2 = vocabulary(d2).withColumn("_in2", F.lit(True))
     inter, union = v1.join(v2, "token", "full").agg(
         F.count_if(F.col("_in1") & F.col("_in2")), F.count("*")
     ).first()

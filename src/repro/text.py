@@ -1,5 +1,8 @@
-"""The whitespace tokenizer of the exploration and profiling views; the
-matchers' tokenizers lower-case and stay in :mod:`repro.matchgen`."""
+"""The codebase's only whitespace tokenizer.
+
+The exploration and profiling views use it as is; the matchers and the
+blocker lower-case the cell first and keep that step to themselves.
+"""
 from __future__ import annotations
 
 from pyspark.sql import Column

@@ -1,6 +1,12 @@
 """Tests for repro.matchgen.blocking — candidate generation (§1.2 step 2)."""
+import itertools
+import re
+from collections import defaultdict
+
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.matchgen.blocking import sorted_neighborhood, token_blocking
 
@@ -34,7 +40,7 @@ class TestTokenBlocking:
 
     def test_min_token_len(self, spark):
         ds = _ds(spark, [("a", "i laptop"), ("b", "i phone")])
-        assert token_blocking(ds, "name", min_token_len=2).count() == 0
+        assert token_blocking(ds, "name").count() == 0
 
     def test_recall_on_clustered_data(self, spark):
         from repro.core.confusion import confusion_counts
@@ -50,6 +56,42 @@ class TestTokenBlocking:
         c = confusion_counts(cands, gold, n_records=ds.count())
         # Blocking must keep most true pairs (candidate-generation recall).
         assert recall(c) > 0.8
+
+
+def _blocking_ref(names: list, max_token_df: int) -> set[tuple[str, str]]:
+    """Pairs of rids sharing a lower-cased token of 2+ characters held by
+    2..max_token_df records."""
+    holders = defaultdict(set)
+    for i, name in enumerate(names):
+        for t in re.split(r"[ \t\n\x0b\f\r]+", (name or "").lower()):
+            if len(t) >= 2:
+                holders[t].add(f"r{i:02d}")
+    return {
+        pair
+        for rids in holders.values()
+        if 2 <= len(rids) <= max_token_df
+        for pair in itertools.combinations(sorted(rids), 2)
+    }
+
+
+# Names glued from words and whitespace runs: a leading, trailing or
+# doubled separator, a one-letter word, or a case variant of another word.
+names = st.none() | st.lists(
+    st.sampled_from(["ab", "AB", "cd", "e", "Ef", "ef", " ", "  ", "\t", "\n"]),
+    max_size=8,
+).map("".join)
+
+
+class TestTokenBlockingReference:
+    @settings(max_examples=8, deadline=None)
+    @given(rows=st.lists(names, min_size=2, max_size=8), max_token_df=st.integers(2, 5))
+    @example(rows=["ab cd", " AB\te ", None, "", "cd\nab"], max_token_df=2)
+    def test_matches_python_reference(self, spark, rows, max_token_df):
+        ds = spark.createDataFrame(
+            [(f"r{i:02d}", n) for i, n in enumerate(rows)], "rid string, name string"
+        )
+        got = {tuple(r) for r in token_blocking(ds, "name", max_token_df).collect()}
+        assert got == _blocking_ref(rows, max_token_df)
 
 
 class TestSortedNeighborhood:

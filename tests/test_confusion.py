@@ -22,6 +22,13 @@ def _pairs(spark, rows):
     return spark.createDataFrame(pd.DataFrame(rows, columns=["id1", "id2"]))
 
 
+def _labelled_universe_counts(exp, gold, total):
+    e = exp.withColumn("_e", F.lit(True))
+    g = gold.withColumn("_g", F.lit(True))
+    pairs = e.join(g, ["id1", "id2"], "full_outer")
+    return confusion_grid(pairs, {"": F.col("_e")}, F.col("_g"), total)[""]
+
+
 class TestUniverse:
     @pytest.mark.parametrize("n,expected", [(0, 0), (1, 0), (2, 1), (4, 6), (10, 45)])
     def test_universe_size(self, n, expected):
@@ -86,24 +93,19 @@ class TestConfusionCounts:
         assert c.tn == 10 - 3
         assert c.total == 10
 
+    # A labelled candidate-pair universe is counted by confusion_grid with
+    # the universe's size, as Table 3 does.
     def test_counts_with_universe_size(self, spark):
         exp = _pairs(spark, [("a", "b")])
         gold = _pairs(spark, [("a", "b"), ("c", "d")])
-        c = confusion_counts(exp, gold, universe_size=50)
+        c = _labelled_universe_counts(exp, gold, 50)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 0, 1, 48)
-
-    def test_requires_exactly_one_universe(self, spark):
-        exp = _pairs(spark, [("a", "b")])
-        with pytest.raises(ValueError):
-            confusion_counts(exp, exp, n_records=3, universe_size=3)
-        with pytest.raises(ValueError):
-            confusion_counts(exp, exp)
 
     def test_rejects_too_small_universe(self, spark):
         exp = _pairs(spark, [("a", "b"), ("c", "d")])
         gold = _pairs(spark, [("e", "f")])
         with pytest.raises(ValueError):
-            confusion_counts(exp, gold, universe_size=2)
+            _labelled_universe_counts(exp, gold, 2)
 
     def test_properties(self):
         c = ConfusionCounts(tp=3, fp=2, fn=1, tn=4)

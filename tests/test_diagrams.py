@@ -17,13 +17,16 @@ from repro.core.incremental import Confusion
 
 class TestDiagramPoints:
     def test_columns_and_length(self):
-        series = [Confusion(float("inf"), 0, 0, 2, 4), Confusion(0.5, 2, 1, 0, 3)]
+        series = [
+            Confusion(threshold=float("inf"), tp=0, fp=0, fn=2, tn=4),
+            Confusion(threshold=0.5, tp=2, fp=1, fn=0, tn=3),
+        ]
         out = diagram_points(series, "recall", "precision")
         assert list(out.columns) == ["threshold", "recall", "precision"]
         assert len(out) == 2
 
     def test_values(self):
-        series = [Confusion(0.5, 2, 2, 2, 4)]
+        series = [Confusion(threshold=0.5, tp=2, fp=2, fn=2, tn=4)]
         out = diagram_points(series, "recall", "precision")
         assert out.loc[0, "precision"] == pytest.approx(0.5)
         assert out.loc[0, "recall"] == pytest.approx(0.5)

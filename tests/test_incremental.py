@@ -12,6 +12,7 @@ from repro.core.incremental import (
     confusion_series,
     naive_confusion_series,
 )
+from repro.core.metrics import ConfusionCounts, all_metrics
 
 
 class TestUnionFind:
@@ -133,7 +134,15 @@ class TestFigure10Example:
 class TestSeriesShape:
     def test_first_point_is_empty_experiment(self):
         out = confusion_series(3, [0, 0, 1], [(1.0, 0, 1)], s=2)
-        assert out[0] == Confusion(float("inf"), 0, 0, 1, 2)
+        assert out[0] == Confusion(threshold=float("inf"), tp=0, fp=0, fn=1, tn=2)
+
+    def test_points_are_confusion_counts(self):
+        # A diagram point goes into the §3.2.1 metric functions as it is.
+        out = confusion_series(4, [0, 0, 1, 1], [(0.9, 0, 1), (0.5, 1, 2)], s=3)
+        assert all(isinstance(c, ConfusionCounts) for c in out)
+        assert all_metrics(out[-1]) == all_metrics(
+            ConfusionCounts(tp=1, fp=2, fn=1, tn=2)
+        )
 
     def test_number_of_points_is_s(self):
         matches = [(1.0 - i / 10, i, i + 1) for i in range(9)]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import metrics as M
-from repro.core.confusion import ConfusionCounts
+from repro.core.metrics import ConfusionCounts
 
 C = ConfusionCounts
 

@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.core import pairs as P
+from repro.core.clustering import connected_components
 from repro.oracle import assert_equivalent
 
 
@@ -34,11 +35,6 @@ class TestCanonicalize:
         )
         row = P.canonicalize(df).collect()[0]
         assert row["similarity"] == pytest.approx(0.9)
-
-    def test_custom_column_names(self, spark):
-        df = _pairs_df(spark, [("y", "x")], cols=("left", "right"))
-        out = P.canonicalize(df, id1="left", id2="right").collect()[0]
-        assert (out["id1"], out["id2"]) == ("x", "y")
 
     def test_empty_input(self, spark):
         df = spark.createDataFrame([], "id1 string, id2 string")
@@ -83,7 +79,7 @@ class TestClusteringFromPairs:
     def test_transitive_closure(self, spark):
         prs = _pairs_df(spark, [("a", "b"), ("b", "c")])
         recs = _pairs_df(spark, [("a",), ("b",), ("c",), ("d",)], cols=("rid",))
-        cl = P.clustering_from_pairs(prs, recs)
+        cl = connected_components(prs, recs)
         m = {r["rid"]: r["cluster"] for r in cl.collect()}
         assert m["a"] == m["b"] == m["c"]
         assert m["d"] != m["a"]
@@ -91,7 +87,7 @@ class TestClusteringFromPairs:
     def test_all_records_present(self, spark):
         prs = _pairs_df(spark, [("a", "b")])
         recs = _pairs_df(spark, [("a",), ("b",), ("z",)], cols=("rid",))
-        assert P.clustering_from_pairs(prs, recs).count() == 3
+        assert connected_components(prs, recs).count() == 3
 
 
 class TestClosureMissingPairs:

@@ -321,13 +321,23 @@ def test_jobs_do_not_grow_with_attributes(spark, inputs, wide_records, view):
 
 @pytest.fixture(scope="module")
 def split(spark):
-    """A small cached SIGMOD-like split, as ``table3.load_splits`` caches it."""
+    """A small SIGMOD-like split, cached as ``table3.load_splits`` caches it and
+    filled up front, so a job count sees only the view it runs."""
     s = sigmod.sigmod_split(spark, "D2", "train", scale=0.1)
     for df in (s.dataset, s.labeled_pairs):
         df.cache().count()
     yield s
     for df in (s.dataset, s.labeled_pairs):
         df.unpersist()
+
+
+def test_table3_load_splits_starts_no_job(spark):
+    # The four splits' caches fill on first use, not by eager counts.
+    splits = {}
+    assert _jobs(spark, lambda: splits.update(table3.load_splits(spark, 0.1))) == 0
+    for s in splits.values():
+        s.dataset.unpersist()
+        s.labeled_pairs.unpersist()
 
 
 def test_table3_evaluate_jobs_do_not_grow_with_matchers(spark, split):
