@@ -17,6 +17,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.metrics import ConfusionCounts
+from repro.core.pairs import tag_memberships
 
 
 def pair_universe_size(n_records: int) -> int:
@@ -70,14 +71,11 @@ def confusion_counts(
 ) -> ConfusionCounts:
     """Count the confusion cells over the universe of all C(n, 2) record pairs.
 
-    The one-experiment case of :func:`confusion_grid`, over the full outer
-    join of the two pair sets; for a labelled candidate-pair universe, call
-    :func:`confusion_grid` with its size.
+    The one-experiment case of :func:`confusion_grid`, over the membership
+    table of the two pair sets, which checks their contract (see
+    :func:`~repro.core.pairs.tag_memberships`); for a labelled candidate-pair
+    universe, call :func:`confusion_grid` with its size.
     """
-    key = ["id1", "id2"]
-    e = experiment.select(*key, F.lit(True).alias("_e"))
-    g = gold.select(*key, F.lit(True).alias("_g"))
-    pairs = e.join(g, key, "full_outer")
-    return confusion_grid(
-        pairs, {"": F.col("_e")}, F.col("_g"), pair_universe_size(n_records)
-    )[""]
+    table = tag_memberships({"e": experiment, "g": gold})
+    universe = pair_universe_size(n_records)
+    return confusion_grid(table, {"": F.col("in_e") == 1}, F.col("in_g") == 1, universe)[""]

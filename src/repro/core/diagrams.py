@@ -28,6 +28,7 @@ from pyspark.sql import functions as F
 
 from repro.core.incremental import Confusion, confusion_series
 from repro.core.metrics import ALL_METRICS
+from repro.core.pairs import tag_memberships
 
 
 def diagram_points(
@@ -117,11 +118,12 @@ def spark_pair_sweep(
 
     ``scored_matches``: canonical pairs ``(id1, id2, similarity)``;
     ``gold``: canonical gold pair set. The one-result :func:`pair_sweeps`
-    over their left join, without the ``solution`` column.
+    over their membership table, which checks their contract (see
+    :func:`~repro.core.pairs.tag_memberships`), without the ``solution``
+    column.
     """
     if gold_size is None:
         gold_size = gold.count()
-    key = ["id1", "id2"]
-    flagged = scored_matches.join(gold.select(*key, F.lit(True).alias("_g")), key, "left")
-    sweep = pair_sweeps(flagged, {"": F.col("similarity")}, F.col("_g"), gold_size)
+    table = tag_memberships({"scored": scored_matches, "gold": gold})
+    sweep = pair_sweeps(table, {"": F.col("similarity")}, F.col("in_gold") == 1, gold_size)
     return sweep.drop("solution")

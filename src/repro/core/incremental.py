@@ -110,8 +110,11 @@ def _prepare(
     n_records: int,
     truth_labels: Sequence[Hashable],
     matches: Sequence[tuple[float, int, int]],
+    s: int,
 ) -> list[tuple[float, int, int]]:
     """Validate the engine input; returns the matches by descending similarity."""
+    if s < 1:
+        raise ValueError(f"s = {s}: a diagram needs at least 1 point")
     if len(truth_labels) != n_records:
         raise ValueError(
             f"{len(truth_labels)} truth labels given for {n_records} records"
@@ -159,11 +162,11 @@ def confusion_series(
     together with every match tied with the last of them, transitively
     closed. Where ties absorb a whole range, a point repeats the one before
     it, so a tied input can have fewer than ``s`` distinct points.
-    Raises ``ValueError`` on a label count other than ``n_records``, on a
-    record id that is not an int in range, or on a NaN similarity (the first
-    such match is named).
+    Raises ``ValueError`` on ``s < 1``, on a label count other than
+    ``n_records``, on a record id that is not an int in range, or on a NaN
+    similarity (the first such match is named).
     """
-    ordered = _prepare(n_records, truth_labels, matches)
+    ordered = _prepare(n_records, truth_labels, matches, s)
     point = _point_maker(n_records, truth_labels)
     uf = UnionFind()
     # Root of a cluster of two or more -> {gold label: member count}.
@@ -209,7 +212,7 @@ def naive_confusion_series(
     describes, and the one timed in Table 1. Same points and validation as
     :func:`confusion_series`.
     """
-    ordered = _prepare(n_records, truth_labels, matches)
+    ordered = _prepare(n_records, truth_labels, matches, s)
     point = _point_maker(n_records, truth_labels)
     out: list[Confusion] = []
     for k in [0, *_batch_ends(ordered, s)]:

@@ -89,22 +89,37 @@ def with_records(
     )
 
 
-def tag_memberships(experiments: dict[str, DataFrame]) -> DataFrame:
-    """Union of all pairs with one 0/1 membership column per experiment.
+def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
+    """The membership table of pair sets, the one place the views put them side by side.
 
-    The output has columns ``id1, id2, in_<name>...`` — the master table from
-    which every Venn region / set expression is a filter.
+    One row per pair of any set: ``id1, id2``, a 0/1 ``in_<name>`` per set
+    and, if a set carries one, the maximum ``similarity`` (as in
+    :func:`canonicalize`; NULL for a pair in no such set). The union is
+    hash-partitioned like a :func:`canonicalize` result, so for such sets
+    the optimizer drops that exchange. Reading a flag of a pair listed twice
+    in one set, or whose ``id1 < id2`` is not true (reversed, self or NULL
+    id), fails the action with Spark's ``USER_RAISED_EXCEPTION`` naming the
+    pair; the check sits in every flag, as a filter would be folded away by
+    a view's own ``in_<name> = 1`` filter. Raises ``ValueError`` for no sets.
     """
+    if not sets:
+        raise ValueError("no pair sets to compare")
     tagged = [
-        e.select("id1", "id2", F.lit(name).alias("_src"))
-        for name, e in experiments.items()
+        s.select("id1", "id2", *({"similarity"} & set(s.columns)), F.lit(n).alias("_src"))
+        for n, s in sets.items()
     ]
-    union = reduce(lambda a, b: a.unionByName(b), tagged)
-    return union.groupBy("id1", "id2").agg(
-        *[
-            F.max((F.col("_src") == name).cast("int")).alias(f"in_{name}")
-            for name in experiments
-        ]
+    union = reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), tagged)
+    counts = [F.count_if(F.col("_src") == n) for n in sets]
+    ordered = F.coalesce(F.col("id1") < F.col("id2"), F.lit(False))
+    broken = reduce(lambda a, c: a | (c > 1), counts, ~ordered)
+    msg = "pair (%s, %s) is not id1 < id2 or is listed twice in one set"
+    error = F.raise_error(F.format_string(msg, "id1", "id2"))
+    flags = [F.when(broken, error).otherwise(c).alias(f"in_{n}") for n, c in zip(sets, counts)]
+    parts = union.sparkSession.sparkContext.defaultParallelism
+    return (
+        union.repartition(parts, "id1", "id2")
+        .groupBy("id1", "id2")
+        .agg(*flags, *[F.max(c).alias(c) for c in {"similarity"} & set(union.columns)])
     )
 
 

@@ -18,7 +18,7 @@ set of promising pairs, which is exactly this.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.pairs import with_records
@@ -89,8 +89,6 @@ def nearest_correct_pairs(
         token_jaccard_sim(F.col("f2_text"), F.col("t1_text")),
     )
     scored = joined.withColumn("score", F.greatest(direct, cross))
-    from pyspark.sql import Window
-
     w = Window.partitionBy("f1", "f2").orderBy(
         F.col("score").desc(), "t1", "t2"
     )

@@ -7,6 +7,8 @@ where ``correct`` is a 0/1 flag against a gold standard when available.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -112,8 +114,6 @@ def representatives(
             "_n", F.count("*").over(Window.partitionBy("partition"))
         )
         # Positions of the b quantiles within the partition: round(q*(n-1))+1.
-        from functools import reduce
-
         conds = [
             F.col("_rank")
             == (F.round(F.lit(q) * (F.col("_n") - 1)) + 1).cast("int")

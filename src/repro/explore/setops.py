@@ -79,15 +79,17 @@ def missed_by_at_least(
     """Gold pairs missed by at least ``k`` of the experiments (§5.4).
 
     The case study found three true pairs missed by ≥4 of 5 solutions, all
-    sharing one hard-to-match record. Returns ``(id1, id2, missed_by)``.
+    sharing one hard-to-match record. Returns ``(id1, id2, missed_by)``:
+    the gold rows of one membership table of the experiments and gold.
     """
-    found = sum(F.col(f"in_{n}") for n in experiments)
+    # Prefixed, so that no experiment's name can take gold's place.
+    sets = {**{f"e_{n}": e for n, e in experiments.items()}, "gold": gold}
+    missed = F.lit(len(experiments)) - sum(F.col(f"in_e_{n}") for n in experiments)
     return (
-        gold.select("id1", "id2")
-        .join(tag_memberships(experiments), ["id1", "id2"], "left")
-        .withColumn("missed_by", len(experiments) - F.coalesce(found, F.lit(0)))
+        tag_memberships(sets)
+        .filter(F.col("in_gold") == 1)
+        .select("id1", "id2", missed.alias("missed_by"))
         .filter(F.col("missed_by") >= k)
-        .select("id1", "id2", "missed_by")
     )
 
 

@@ -76,16 +76,6 @@ class SolutionKPIs:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentKPIs:
-    """Per-experiment soft KPIs: setup effort and runtime (§3.3)."""
-
-    experiment: str
-    solution: str
-    setup_effort: Effort = Effort(0, 0)
-    runtime_seconds: float = 0.0
-
-
 def decision_matrix(
     solutions: list[SolutionKPIs],
     quality: dict[str, dict[str, float]] | None = None,

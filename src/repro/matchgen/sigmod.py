@@ -124,10 +124,6 @@ class SplitSpec:
     def n_entities(self) -> int:
         return self.n_unique + self.dup2 + self.dup3
 
-    @property
-    def n_positive_pairs(self) -> int:
-        return self.dup2 + 3 * self.dup3
-
 
 # Targets derived analytically from the Table-2 goals (see module docstring);
 # tuple counts are the paper's at 1/20 scale.
@@ -156,10 +152,6 @@ class SigmodSplit:
     gold_pairs: DataFrame
     labeled_pairs: DataFrame  # (id1, id2, label) — the contest-style universe
     n_labeled: int  # rows of labeled_pairs: the universe size, known without a job
-
-    @property
-    def attributes(self) -> list[str]:
-        return [c for c in self.dataset.columns if c != "rid"]
 
 
 def _gold_pairs(gold: list[dict]) -> list[tuple[str, str]]:

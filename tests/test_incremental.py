@@ -295,6 +295,13 @@ class TestValidation:
             engine(3, [0, 0, 1], [(0.5, 0, 1), bad], 2)
 
     @ENGINES
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_fewer_than_one_point(self, engine, s):
+        # Both engines used to return one point, though s points are promised.
+        with pytest.raises(ValueError, match=f"s = {s}:"):
+            engine(3, [0, 0, 1], [(1.0, 0, 1)], s)
+
+    @ENGINES
     def test_nan_similarity(self, engine):
         # A NaN used to leave the sort unsorted: on these matches the two
         # engines disagreed (tp 1 against 3 at point 3) and neither raised.

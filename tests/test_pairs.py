@@ -1,9 +1,21 @@
 """Tests for repro.core.pairs — canonical pair sets and conversions."""
+import itertools
+import re
+
+import duckdb
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pyspark.errors import SparkRuntimeException
+from pyspark.sql import functions as F
 
 from repro.core import pairs as P
 from repro.core.clustering import connected_components
+from repro.core.confusion import confusion_counts
+from repro.core.diagrams import spark_pair_sweep
+from repro.core.noground import consensus_deviations, majority_vote
+from repro.explore.setops import missed_by_at_least, select_region, venn_regions
 from repro.oracle import assert_equivalent
 
 
@@ -145,3 +157,108 @@ class TestWithRecords:
         )
         assert got.count() == (3 if how == "inner" else 5)
 
+
+
+PAIRS = list(itertools.combinations("abcdef", 2))
+pair_sets = st.sets(st.sampled_from(PAIRS))
+SIMS = [0.1, 0.5, 0.9]
+
+
+def _set_df(spark, pairs, sims=None):
+    """A pair set; with ``sims``, scored by ``sims[PAIRS.index(pair)]``."""
+    if sims is None:
+        return spark.createDataFrame(sorted(pairs), "id1 string, id2 string")
+    rows = [(a, b, sims[PAIRS.index((a, b))]) for a, b in sorted(pairs)]
+    return spark.createDataFrame(rows, "id1 string, id2 string, similarity double")
+
+
+def _duckdb_memberships(sets, scored, sims):
+    """Per pair: how often each set lists it, and the scored set's similarity."""
+    con = duckdb.connect()
+    try:
+        con.execute("CREATE TABLE t (name VARCHAR, id1 VARCHAR, id2 VARCHAR, sim DOUBLE)")
+        rows = [
+            (f"s{i}", a, b, sims[PAIRS.index((a, b))] if i == scored else None)
+            for i, s in enumerate(sets)
+            for a, b in s
+        ]
+        if rows:
+            con.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+        flags = ", ".join(f"count_if(name = 's{i}')" for i in range(len(sets)))
+        query = f"SELECT id1, id2, {flags}, max(sim) FROM t GROUP BY id1, id2"
+        return sorted(con.execute(query).fetchall())
+    finally:
+        con.close()
+
+
+class TestTagMemberships:
+    def test_no_sets(self):
+        with pytest.raises(ValueError, match="no pair sets"):
+            P.tag_memberships({})
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        sets=st.lists(pair_sets, min_size=1, max_size=4),
+        scored=st.integers(0, 3),
+        sims=st.lists(st.sampled_from(SIMS), min_size=len(PAIRS), max_size=len(PAIRS)),
+    )
+    @example(sets=[set(), set(PAIRS[:3]), set(PAIRS[2:5])], scored=1, sims=[0.5] * len(PAIRS))
+    @example(sets=[set(PAIRS[:2])], scored=0, sims=[0.9] * len(PAIRS))
+    def test_matches_duckdb(self, spark, sets, scored, sims):
+        # One set carries a similarity, the others do not; pairs are shared
+        # across sets, and any set may be empty.
+        scored = min(scored, len(sets) - 1)
+        frames = {
+            f"s{i}": _set_df(spark, s, sims if i == scored else None)
+            for i, s in enumerate(sets)
+        }
+        table = P.tag_memberships(frames)
+        assert table.columns == ["id1", "id2", *[f"in_{n}" for n in frames], "similarity"]
+        got = sorted(tuple(r) for r in table.collect())
+        assert got == _duckdb_memberships(sets, scored, sims)
+
+
+def _scored(df):
+    return df.withColumn("similarity", F.lit(0.5))
+
+
+#: every view that puts pair sets side by side, fed one set that breaks the
+#: contract (``bad``) and one valid set (``ok``).
+ENTRY_POINTS = {
+    "confusion_counts/experiment": lambda bad, ok: confusion_counts(bad, ok, n_records=7),
+    "confusion_counts/gold": lambda bad, ok: confusion_counts(ok, bad, n_records=7),
+    "spark_pair_sweep/scored": lambda bad, ok: spark_pair_sweep(_scored(bad), ok, 1).collect(),
+    "spark_pair_sweep/gold": lambda bad, ok: spark_pair_sweep(_scored(ok), bad, 1).collect(),
+    "venn_regions": lambda bad, ok: venn_regions({"x": ok, "y": bad}).collect(),
+    "select_region": lambda bad, ok: select_region({"x": ok, "y": bad}, ["x"]).collect(),
+    "missed_by_at_least/gold": lambda bad, ok: missed_by_at_least(bad, {"x": ok}, 0).collect(),
+    "missed_by_at_least/experiment": lambda bad, ok: (
+        missed_by_at_least(ok, {"x": bad}, 0).collect()
+    ),
+    "majority_vote": lambda bad, ok: majority_vote([ok, bad, ok]).collect(),
+    "consensus_deviations": lambda bad, ok: consensus_deviations([ok, bad, ok]),
+}
+
+
+def _broken(kind, a, b):
+    """Rows that break the pair-set contract, and the pair the error names."""
+    return {
+        "duplicated": ([(a, b), (a, b)], (a, b)),
+        "reversed": ([(b, a)], (b, a)),
+        "self": ([(a, a)], (a, a)),
+        "null": ([(None, b)], ("null", b)),
+    }[kind]
+
+
+class TestPairSetContract:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", ["duplicated", "reversed", "self", "null"])
+    # One example per entry point and kind: each is a failing Spark action.
+    @settings(max_examples=1, deadline=None)
+    @given(valid=pair_sets, ok=pair_sets, pair=st.sampled_from(PAIRS))
+    def test_broken_set_raises_naming_the_pair(self, spark, entry, kind, valid, ok, pair):
+        rows, named = _broken(kind, *pair)
+        bad = spark.createDataFrame(sorted(valid) + rows, "id1 string, id2 string")
+        message = re.escape(f"pair ({named[0]}, {named[1]})")
+        with pytest.raises(SparkRuntimeException, match=message):
+            ENTRY_POINTS[entry](bad, _set_df(spark, ok))

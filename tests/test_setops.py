@@ -102,6 +102,12 @@ class TestMissedByAtLeast:
         e1 = _pairs(spark, [("a", "b")])
         assert S.missed_by_at_least(gt, {"e1": e1}, 0).count() == 1
 
+    def test_no_experiments_miss_nothing(self, spark):
+        # Used to fail with reduce's TypeError.
+        gt = _pairs(spark, [("a", "b"), ("c", "d")])
+        got = S.missed_by_at_least(gt, {}, 0).collect()
+        assert sorted(map(tuple, got)) == [("a", "b", 0), ("c", "d", 0)]
+
 
 @pytest.fixture
 def with_empty(spark):

@@ -190,6 +190,21 @@ def test_pair_sets_have_one_partition_per_core(spark, inputs):
             df.unpersist()
 
 
+def test_memberships_of_canonical_sets_shuffle_neither(spark, inputs):
+    # Two canonicalize results are hash-partitioned alike, so their union is
+    # grouped where it lies: one task per cached partition, and one for the
+    # count; shuffling the union would add a map task per partition.
+    _, exps, _ = inputs
+    sets = {n: pairs.canonicalize(e).cache() for n, e in zip("ab", exps)}
+    try:
+        assert all(df.count() > 0 for df in sets.values())
+        table = pairs.tag_memberships(sets)
+        assert _tasks(spark, table.count) <= spark.sparkContext.defaultParallelism + 1
+    finally:
+        for df in sets.values():
+            df.unpersist()
+
+
 def _executed_plans(spark, run) -> str:
     """The final physical plans of every SQL query that ``run`` executes."""
     store = spark._jsparkSession.sharedState().statusStore()
