@@ -30,14 +30,19 @@ def confusion_sets(
 ) -> tuple[DataFrame, DataFrame, DataFrame]:
     """(TP, FP, FN) as canonical pair DataFrames.
 
-    Both inputs are canonical pair sets; extra columns of ``experiment``
-    (e.g. similarity) survive on TP and FP so exploration views can use them.
+    Read off the membership table of the two pair sets, which checks their
+    contract (see :func:`~repro.core.pairs.tag_memberships`). The
+    ``similarity`` of ``experiment``, if it has one, survives on TP and FP
+    so exploration views can use it.
     """
-    key = ["id1", "id2"]
-    tp = experiment.join(gold.select(*key), on=key, how="inner")
-    fp = experiment.join(gold.select(*key), on=key, how="left_anti")
-    fn = gold.join(experiment.select(*key), on=key, how="left_anti")
-    return tp, fp, fn
+    table = tag_memberships({"e": experiment, "g": gold.select("id1", "id2")})
+    cols = ["id1", "id2", *({"similarity"} & set(experiment.columns))]
+    e, g = F.col("in_e") == 1, F.col("in_g") == 1
+    return (
+        table.filter(e & g).select(*cols),
+        table.filter(e & ~g).select(*cols),
+        table.filter(~e & g).select("id1", "id2"),
+    )
 
 
 def confusion_grid(

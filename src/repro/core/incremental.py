@@ -8,11 +8,11 @@ naïve O(s·(|D| + |Matches|)):
   lazily; a record in no match is a singleton and adds no pairs.
 - :func:`confusion_series` is paper Algorithm 1. It computes the result of
   the paper's Algorithm 2 (``trackedUnion`` plus the dynamic intersection)
-  without a second union-find: each experiment cluster keeps how many
-  members each gold cluster has, a union merges the smaller of the two
-  label maps into the larger, and adds Σ_g count_a[g]·count_b[g] to the
-  true-positive count — the pairs it adds to the intersection of the
-  experiment clustering with the gold clustering (paper Fig. 10).
+  without a second union-find: a union adds Σ_g count_a[g]·count_b[g] to
+  the true-positive count — the pairs it adds to the intersection of the
+  experiment clustering with the gold clustering (paper Fig. 10). A pure
+  cluster (one gold label) is its root's label and union-find size; only
+  a mixed one keeps a ``{gold label: count}`` map, merged small into large.
   :func:`naive_confusion_series` is the paper's "slightly more advanced
   naïve" baseline — rebuild clustering and intersection from scratch at
   every threshold — which Table 1 compares against.
@@ -29,15 +29,17 @@ for pair-level (non-closure) sweeps lives in :mod:`repro.core.diagrams`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from repro.core.metrics import ConfusionCounts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Confusion(ConfusionCounts):
     """One diagram data point: the confusion cells at a similarity threshold."""
 
@@ -92,11 +94,11 @@ def _point_maker(
 ) -> Callable[[float, int, int], Confusion]:
     """``point(threshold, tp, predicted_pairs)`` -> the full confusion cells.
 
-    The gold pair count is Σ C(c, 2) over gold cluster sizes c, taken from
-    how many gold clusters have each size rather than from every cluster.
+    The gold pair count is Σ C(c, 2) over gold cluster sizes c, summed in
+    numpy over one count per gold label; a point is a slotted :class:`Confusion`.
     """
-    sizes = Counter(Counter(truth_labels).values())
-    gold_pairs = sum(k * (c * (c - 1) // 2) for c, k in sizes.items())
+    sizes = np.fromiter(Counter(truth_labels).values(), dtype=np.int64)
+    gold_pairs = int((sizes * (sizes - 1) // 2).sum())
     total = n_records * (n_records - 1) // 2
 
     def point(threshold: float, tp: int, predicted: int) -> Confusion:
@@ -121,8 +123,9 @@ def _prepare(
         )
     for m in matches:
         sim, a, b = m
-        if sim != sim:  # NaN: the sort below would leave the matches unsorted
-            raise ValueError(f"match {m!r}: similarity is NaN")
+        if float(sim) != sim:  # NaN, or a number _batch_ends would merge
+            why = "is NaN" if sim != sim else f"{sim!r} is not exactly a float64"
+            raise ValueError(f"match {m!r}: similarity {why}")
         if not (
             type(a) is int and type(b) is int
             and 0 <= a < n_records and 0 <= b < n_records
@@ -130,7 +133,7 @@ def _prepare(
             raise ValueError(
                 f"match {m!r}: record ids must be ints in [0, {n_records})"
             )
-    return sorted(matches, key=lambda m: -m[0])
+    return sorted(matches, key=itemgetter(0), reverse=True)
 
 
 def _batch_ends(ordered: list[tuple[float, int, int]], s: int) -> list[int]:
@@ -141,10 +144,14 @@ def _batch_ends(ordered: list[tuple[float, int, int]], s: int) -> list[int]:
     policy, rounding borders when |Matches| is not divisible. Each border is
     then moved to the end of its run of tied similarities, so no prefix
     holds part of a tie: a prefix emptied by that repeats the point before.
+    All borders move in one ``np.searchsorted`` over float64 keys, which
+    :func:`_prepare` has checked are exact: a number float64 does not hold
+    exactly would join its float64 neighbour's tie run.
     """
-    keys = [-m[0] for m in ordered]  # ascending, as bisect needs
-    ends = (round(i * len(keys) / (s - 1)) for i in range(1, s))
-    return [bisect_right(keys, keys[end - 1]) if end else 0 for end in ends]
+    ends = np.rint(np.arange(1, s) * len(ordered) / (s - 1)).astype(np.int64)
+    empty = int(np.count_nonzero(ends == 0))  # a leading run of empty prefixes
+    keys = -np.array([m[0] for m in ordered], dtype=np.float64)
+    return [0] * empty + np.searchsorted(keys, keys[ends[empty:] - 1], "right").tolist()
 
 
 def confusion_series(
@@ -163,14 +170,15 @@ def confusion_series(
     closed. Where ties absorb a whole range, a point repeats the one before
     it, so a tied input can have fewer than ``s`` distinct points.
     Raises ``ValueError`` on ``s < 1``, on a label count other than
-    ``n_records``, on a record id that is not an int in range, or on a NaN
-    similarity (the first such match is named).
+    ``n_records``, on a record id not an int in range, or on a similarity
+    that is NaN or not a float64 exactly (the first such match is named).
     """
     ordered = _prepare(n_records, truth_labels, matches, s)
     point = _point_maker(n_records, truth_labels)
     uf = UnionFind()
-    # Root of a cluster of two or more -> {gold label: member count}.
-    labels: dict[int, dict[Hashable, int]] = {}
+    union, size = uf.union, uf.size
+    # Root of a cluster of two or more gold labels -> {gold label: count}.
+    mixed: dict[int, dict[Hashable, int]] = {}
     tp = 0
     out = [point(float("inf"), 0, 0)]
     start = 0
@@ -179,15 +187,23 @@ def confusion_series(
             out.append(out[-1])
             continue
         for _, a, b in ordered[start:stop]:
-            roots = uf.union(a, b)
+            roots = union(a, b)
             if roots is None:
                 continue
             keep, gone = roots
-            big = labels.get(keep) or {truth_labels[keep]: 1}
-            small = labels.pop(gone, None) or {truth_labels[gone]: 1}
+            n_gone = size.get(gone, 1)
+            n_keep = size[keep] - n_gone
+            big, small = mixed.get(keep), mixed.pop(gone, None)
+            if big is None and small is None:  # two pure clusters
+                g, h = truth_labels[keep], truth_labels[gone]
+                if g is h or g == h:  # one dict key, as a shared NaN is
+                    tp += n_keep * n_gone
+                    continue
+            big = big or {truth_labels[keep]: n_keep}
+            small = small or {truth_labels[gone]: n_gone}
             if len(big) < len(small):
                 big, small = small, big
-            labels[keep] = big
+            mixed[keep] = big
             for g, c in small.items():  # the pairs the merge adds to TP
                 have = big.get(g, 0)
                 tp += have * c

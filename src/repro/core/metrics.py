@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionCounts:
     """Cardinalities of the four confusion-matrix cells."""
 

@@ -25,6 +25,19 @@ from repro.core.clustering import connected_components
 PAIR_COLS = ("id1", "id2")
 
 
+def by_pair(pairs: DataFrame) -> DataFrame:
+    """``pairs`` hash-partitioned on ``(id1, id2)``, one partition per core.
+
+    The layout of every pair set the platform builds, so a join or aggregate
+    on the pair key of two such sets shuffles neither. One per core, as a
+    cached plan runs without AQE
+    (``spark.sql.optimizer.canChangeCachedPlanOutputPartitioning`` is off by
+    default): nothing would coalesce ``spark.sql.shuffle.partitions`` small
+    partitions, and every scan of a cached set would run that many tasks.
+    """
+    return pairs.repartition(pairs.sparkSession.sparkContext.defaultParallelism, *PAIR_COLS)
+
+
 def canonicalize(pairs: DataFrame) -> DataFrame:
     """Return pairs with ``id1 < id2``, self-pairs dropped, duplicates removed.
 
@@ -32,24 +45,17 @@ def canonicalize(pairs: DataFrame) -> DataFrame:
     the same pair the maximum similarity wins (mirrors Snowman's import
     normalisation, which keeps one row per pair).
 
-    The pair dedup of the codebase. The result is hash-partitioned on
-    ``(id1, id2)`` into the session's ``defaultParallelism`` partitions, one
-    per core: the dedup reuses that one exchange, and joins and aggregates
-    on the pair key shuffle only their other side. The count is set here
-    because a cached plan runs without AQE
-    (``spark.sql.optimizer.canChangeCachedPlanOutputPartitioning`` is off by
-    default), so nothing would coalesce ``spark.sql.shuffle.partitions``
-    small partitions, and every later scan of a cached result would run that
-    many tasks.
+    The pair dedup of the codebase. The result is laid out by
+    :func:`by_pair`: the dedup reuses that one exchange, and joins and
+    aggregates on the pair key shuffle only their other side.
     """
-    out = (
+    out = by_pair(
         pairs.withColumn("_lo", F.least("id1", "id2"))
         .withColumn("_hi", F.greatest("id1", "id2"))
         .filter(F.col("_lo") != F.col("_hi"))
         .drop("id1", "id2")
         .withColumnRenamed("_lo", "id1")
         .withColumnRenamed("_hi", "id2")
-        .repartition(pairs.sparkSession.sparkContext.defaultParallelism, "id1", "id2")
     )
     extra = [c for c in out.columns if c not in PAIR_COLS]
     if extra:
@@ -95,11 +101,11 @@ def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     One row per pair of any set: ``id1, id2``, a 0/1 ``in_<name>`` per set
     and, if a set carries one, the maximum ``similarity`` (as in
     :func:`canonicalize`; NULL for a pair in no such set). The union is
-    hash-partitioned like a :func:`canonicalize` result, so for such sets
-    the optimizer drops that exchange. Reading a flag of a pair listed twice
-    in one set, or whose ``id1 < id2`` is not true (reversed, self or NULL
-    id), fails the action with Spark's ``USER_RAISED_EXCEPTION`` naming the
-    pair; the check sits in every flag, as a filter would be folded away by
+    laid out by :func:`by_pair`; where every set already is, the optimizer
+    drops that exchange. Reading a flag of a pair listed twice in one set,
+    or whose ``id1 < id2`` is not true (reversed, self or NULL id), fails
+    the action with Spark's ``USER_RAISED_EXCEPTION`` naming the pair; the
+    check sits in every flag, as a filter would be folded away by
     a view's own ``in_<name> = 1`` filter. Raises ``ValueError`` for no sets.
     """
     if not sets:
@@ -115,9 +121,8 @@ def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     msg = "pair (%s, %s) is not id1 < id2 or is listed twice in one set"
     error = F.raise_error(F.format_string(msg, "id1", "id2"))
     flags = [F.when(broken, error).otherwise(c).alias(f"in_{n}") for n, c in zip(sets, counts)]
-    parts = union.sparkSession.sparkContext.defaultParallelism
     return (
-        union.repartition(parts, "id1", "id2")
+        by_pair(union)
         .groupBy("id1", "id2")
         .agg(*flags, *[F.max(c).alias(c) for c in {"similarity"} & set(union.columns)])
     )

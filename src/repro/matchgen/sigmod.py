@@ -32,6 +32,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.pairs import by_pair
 from repro.matchgen.corrupt import corrupt_value, drop_token, swap_tokens, typo
 
 _BRANDS = [
@@ -184,7 +185,8 @@ def _make_split(
         name=name,
         dataset=spark.createDataFrame(pd.DataFrame(rows)),
         gold_clustering=spark.createDataFrame(pd.DataFrame(gold)),
-        gold_pairs=spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"])),
+        # Laid out like a matcher result, so comparing the two shuffles neither.
+        gold_pairs=by_pair(spark.createDataFrame(pd.DataFrame(pos, columns=["id1", "id2"]))),
         labeled_pairs=spark.createDataFrame(labeled),
         n_labeled=len(labeled),
     )

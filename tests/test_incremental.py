@@ -1,14 +1,19 @@
 """Tests for repro.core.incremental — Appendix D algorithm, incl. Fig. 10."""
 import random
+import re
+from bisect import bisect_right
+from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental import (
     Confusion,
     UnionFind,
+    _batch_ends,
+    _prepare,
     confusion_series,
     naive_confusion_series,
 )
@@ -94,6 +99,63 @@ class TestLabelCounting:
         out = confusion_series(5, truth, matches, s=5)
         assert out == naive_confusion_series(5, truth, matches, s=5)
         assert _cells(out)[-1] == (2, 8, 0, 0)
+
+
+NAN = float("nan")  # one object: as a dict key it is one gold label
+
+#: gold labels whose identity as dict keys is easy to get wrong: equal
+#: numbers of three types, a NaN object that is not ``==`` to itself, and
+#: nested containers.
+LABEL_POOLS = {
+    "1, 1.0 and True are one label": [1, 1.0, True, 2],
+    "one shared NaN": [NAN, 0],
+    "strings and tuples": ["a", "b", ("a",), ("a", 1), ("b", ("a",))],
+}
+
+
+@st.composite
+def _labelled_instances(draw, pool):
+    n = draw(st.integers(2, 20))
+    truth = [draw(st.sampled_from(pool)) for _ in range(n)]
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    matches = [
+        (draw(st.sampled_from([0.2, 0.5, 0.9])), a, b)
+        for a, b in draw(st.lists(ends, max_size=30))
+        if a != b
+    ]
+    return n, truth, matches, draw(st.integers(2, 8))
+
+
+class TestLabelMaps:
+    """Pure clusters carry no label map; the fast engine must agree with the
+    naïve one on every label set, whichever way clusters turn mixed."""
+
+    @pytest.mark.parametrize("pool", sorted(LABEL_POOLS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fast_equals_naive(self, pool, data):
+        n, truth, matches, s = data.draw(_labelled_instances(LABEL_POOLS[pool]))
+        assert confusion_series(n, truth, matches, s) == naive_confusion_series(
+            n, truth, matches, s
+        )
+
+    def test_shared_nan_label_is_one_gold_cluster(self):
+        for engine in (confusion_series, naive_confusion_series):
+            out = engine(2, [NAN, NAN], [(1.0, 0, 1)], 2)
+            assert [c.tp for c in out] == [0, 1]
+
+    @pytest.mark.parametrize("n_labels", [1, 2, 3])
+    def test_long_chains_over_few_labels(self, n_labels):
+        # Two interleaved chains, each crossing every label many times, so
+        # pure clusters grow and then turn mixed; a last match joins them.
+        rng = random.Random(n_labels)
+        n = 300
+        truth = [rng.randrange(n_labels) for _ in range(n)]
+        matches = [(rng.random(), r, r + 2) for r in range(n - 2)] + [(0.0, 0, 1)]
+        for s in (7, len(matches) + 1):
+            fast = confusion_series(n, truth, matches, s)
+            assert fast == naive_confusion_series(n, truth, matches, s)
+        assert (fast[-1].tp, fast[-1].fp) == _closure_cells(n, truth, matches, 0.0)
 
 
 class TestFigure9Example:
@@ -271,6 +333,38 @@ class TestTies:
             assert (c.tp, c.fp) == _closure_cells(n, truth, matches, c.threshold)
 
 
+def _bisect_batch_ends(ordered, s):
+    """Reference for ``_batch_ends``: one ``bisect`` per border on Python keys."""
+    keys = [-m[0] for m in ordered]  # ascending, as bisect needs
+    ends = (round(i * len(keys) / (s - 1)) for i in range(1, s))
+    return [bisect_right(keys, keys[end - 1]) if end else 0 for end in ends]
+
+
+#: similarities with ties, both zeros, ints and every exact float64.
+_similarities = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 0.5, 1, 1.0, True, -3]),
+    st.floats(allow_nan=False),
+    st.integers(-(2**53), 2**53),
+)
+
+
+class TestBatchEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(sims=st.lists(_similarities, max_size=40), s=st.integers(1, 50))
+    @example(sims=[], s=1)
+    @example(sims=[], s=4)
+    @example(sims=[0.5, 0.0, -0.0, 0, 0.5], s=1)
+    @example(sims=[0.5, 0.0, -0.0, 0, 0.5], s=2)
+    @example(sims=[0.0, -0.0, 0.0, 1, 1.0], s=17)
+    def test_equals_one_bisect_per_border(self, sims, s):
+        # Distinct record pairs, so an order that differs only among tied
+        # similarities (0.0 against -0.0) shows.
+        matches = [(x, i, i + 1) for i, x in enumerate(sims)]
+        ordered = _prepare(len(sims) + 1, [0] * (len(sims) + 1), matches, s)
+        assert ordered == sorted(matches, key=lambda m: -m[0])
+        assert _batch_ends(ordered, s) == _bisect_batch_ends(ordered, s)
+
+
 class TestValidation:
     ENGINES = pytest.mark.parametrize(
         "engine", [confusion_series, naive_confusion_series]
@@ -309,6 +403,14 @@ class TestValidation:
         matches = [(0.9, 0, 1), (nan, 1, 2), (0.8, 2, 3), (0.95, 3, 4), (0.1, 4, 5)]
         with pytest.raises(ValueError, match=r"\(nan, 1, 2\): similarity is NaN"):
             engine(6, [0, 0, 1, 1, 2, 2], matches, 6)
+
+    @ENGINES
+    @pytest.mark.parametrize("sim", [2**53 + 1, Fraction(1, 3)])
+    def test_similarity_not_exactly_a_float64(self, engine, sim):
+        # As float64 it equals its neighbour, whose tie run it would join.
+        matches = [(float(sim), 0, 1), (sim, 1, 2)]
+        with pytest.raises(ValueError, match=re.escape(f"match {(sim, 1, 2)!r}")):
+            engine(3, [0, 0, 1], matches, 3)
 
 
 class TestEdgeCases:

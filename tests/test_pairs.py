@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 
 from repro.core import pairs as P
 from repro.core.clustering import connected_components
-from repro.core.confusion import confusion_counts
+from repro.core.confusion import confusion_counts, confusion_sets
 from repro.core.diagrams import spark_pair_sweep
 from repro.core.noground import consensus_deviations, majority_vote
 from repro.explore.setops import missed_by_at_least, select_region, venn_regions
@@ -227,6 +227,8 @@ def _scored(df):
 ENTRY_POINTS = {
     "confusion_counts/experiment": lambda bad, ok: confusion_counts(bad, ok, n_records=7),
     "confusion_counts/gold": lambda bad, ok: confusion_counts(ok, bad, n_records=7),
+    "confusion_sets/experiment": lambda bad, ok: [c.collect() for c in confusion_sets(bad, ok)],
+    "confusion_sets/gold": lambda bad, ok: [c.collect() for c in confusion_sets(ok, bad)],
     "spark_pair_sweep/scored": lambda bad, ok: spark_pair_sweep(_scored(bad), ok, 1).collect(),
     "spark_pair_sweep/gold": lambda bad, ok: spark_pair_sweep(_scored(ok), bad, 1).collect(),
     "venn_regions": lambda bad, ok: venn_regions({"x": ok, "y": bad}).collect(),

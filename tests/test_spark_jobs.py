@@ -38,10 +38,17 @@ def _jobs(spark, run) -> int:
 
 
 def _tasks(spark, run) -> int:
-    """Tasks that ``run`` completed; a stage shared by two jobs counts once."""
+    """Tasks that ``run`` completed; a stage shared by two jobs counts once.
+
+    A stage with no info left is a skipped one (a reused shuffle), which ran
+    no task: once the status store holds more than
+    ``spark.ui.retainedStages``, it drops skipped stages first, as they have
+    no completion time, while the stages that ran are its newest.
+    """
     status = spark.sparkContext.statusTracker()
     stages = {s for j in _job_ids(spark, run) for s in status.getJobInfo(j).stageIds}
-    return sum(status.getStageInfo(s).numCompletedTasks for s in stages)
+    infos = [status.getStageInfo(s) for s in stages]
+    return sum(i.numCompletedTasks for i in infos if i is not None)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +209,24 @@ def test_memberships_of_canonical_sets_shuffle_neither(spark, inputs):
         assert _tasks(spark, table.count) <= spark.sparkContext.defaultParallelism + 1
     finally:
         for df in sets.values():
+            df.unpersist()
+
+
+def test_memberships_of_a_matcher_result_and_split_gold_shuffle_neither(spark, split):
+    # A matcher result keeps token_blocking's pair layout and a split's gold
+    # pairs come laid out the same way, so with both cached the membership
+    # table groups their union where it lies: no exchange above the union.
+    candidates = blocking.token_blocking(split.dataset, "title").cache()
+    matcher = matchers.Matcher("m", {"title": "jaccard"}, {"title": 1.0}, "penalize", 0.3)
+    predicted = matcher.predict(candidates, split.dataset).cache()
+    gold = split.gold_pairs.cache()
+    try:
+        assert predicted.count() > 0 and gold.count() > 0
+        table = pairs.tag_memberships({"e": predicted, "g": gold})
+        plan = _executed_plans(spark, table.collect)
+        assert "Union" in plan and "Exchange" not in plan.split("Union")[0]
+    finally:
+        for df in (gold, predicted, candidates):
             df.unpersist()
 
 
