@@ -25,6 +25,8 @@ from typing import Callable
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.metrics import pair_universe_size
+
 
 def intersections(exp: DataFrame, truth: DataFrame) -> list[tuple]:
     """Sizes of all nonempty intersections between exp and truth clusters.
@@ -157,8 +159,8 @@ def pairwise_from_gmd(table: list[tuple]) -> dict[str, float]:
         table, merge_cost=lambda x, y: float(x * y), split_cost=lambda x, y: 0.0
     )
     esize, tsize = _sizes(table)
-    ep = sum(math.comb(s, 2) for s in esize.values())
-    tp_ = sum(math.comb(s, 2) for s in tsize.values())
+    ep = sum(map(pair_universe_size, esize.values()))
+    tp_ = sum(map(pair_universe_size, tsize.values()))
     p = 1.0 - split_only / ep if ep else 0.0
     r = 1.0 - merge_only / tp_ if tp_ else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0

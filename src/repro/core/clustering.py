@@ -20,7 +20,7 @@ def match_graph(pairs: DataFrame) -> tuple[list[tuple], UnionFind]:
     """The distinct edges of ``pairs`` on the driver, and their union-find.
 
     Raises ``ValueError`` when ``pairs`` has more than :data:`MAX_EDGES`
-    distinct pairs, or when a pair is not canonical (``id1 < id2``).
+    distinct pairs, or when a pair is not canonical (``id1 < id2``, no NULL).
     """
     rows = pairs.select("id1", "id2").distinct().limit(MAX_EDGES + 1).collect()
     if len(rows) > MAX_EDGES:
@@ -30,7 +30,7 @@ def match_graph(pairs: DataFrame) -> tuple[list[tuple], UnionFind]:
         )
     uf = UnionFind()
     for a, b in rows:
-        if not a < b:
+        if a is None or b is None or not a < b:
             raise ValueError(f"pair ({a!r}, {b!r}) is not canonical: needs id1 < id2")
         uf.union(a, b)
     return rows, uf

@@ -16,13 +16,8 @@ from __future__ import annotations
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.metrics import ConfusionCounts
-from repro.core.pairs import tag_memberships
-
-
-def pair_universe_size(n_records: int) -> int:
-    """|[D]^2| = C(n, 2)."""
-    return n_records * (n_records - 1) // 2
+from repro.core.metrics import ConfusionCounts, pair_universe_size
+from repro.core.pairs import PAIR_COLS, tag_memberships
 
 
 def confusion_sets(
@@ -31,16 +26,15 @@ def confusion_sets(
     """(TP, FP, FN) as canonical pair DataFrames.
 
     Read off the membership table of the two pair sets, which checks their
-    contract (see :func:`~repro.core.pairs.tag_memberships`). The
-    ``similarity`` of ``experiment``, if it has one, survives on TP and FP
-    so exploration views can use it.
+    contract (see :func:`~repro.core.pairs.tag_memberships`). Every column
+    of ``experiment`` (a ``similarity``, say) survives on TP and FP so
+    exploration views can use it.
     """
-    table = tag_memberships({"e": experiment, "g": gold.select("id1", "id2")})
-    cols = ["id1", "id2", *({"similarity"} & set(experiment.columns))]
+    table = tag_memberships({"e": experiment, "g": gold.select(*PAIR_COLS)})
     e, g = F.col("in_e") == 1, F.col("in_g") == 1
     return (
-        table.filter(e & g).select(*cols),
-        table.filter(e & ~g).select(*cols),
+        table.filter(e & g).select(*experiment.columns),
+        table.filter(e & ~g).select(*experiment.columns),
         table.filter(~e & g).select("id1", "id2"),
     )
 

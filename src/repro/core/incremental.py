@@ -36,7 +36,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from repro.core.metrics import ConfusionCounts
+from repro.core.metrics import ConfusionCounts, pair_universe_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +98,8 @@ def _point_maker(
     numpy over one count per gold label; a point is a slotted :class:`Confusion`.
     """
     sizes = np.fromiter(Counter(truth_labels).values(), dtype=np.int64)
-    gold_pairs = int((sizes * (sizes - 1) // 2).sum())
-    total = n_records * (n_records - 1) // 2
+    gold_pairs = int(pair_universe_size(sizes).sum())
+    total = pair_universe_size(n_records)
 
     def point(threshold: float, tp: int, predicted: int) -> Confusion:
         fn = gold_pairs - tp
@@ -123,7 +123,9 @@ def _prepare(
         )
     for m in matches:
         sim, a, b = m
-        if float(sim) != sim:  # NaN, or a number _batch_ends would merge
+        # NaN, or a number _batch_ends would merge; numpy compares its integers as float64
+        inexact = type(sim) is not float and isinstance(sim, np.integer) and float(sim) != int(sim)
+        if float(sim) != sim or inexact:
             why = "is NaN" if sim != sim else f"{sim!r} is not exactly a float64"
             raise ValueError(f"match {m!r}: similarity {why}")
         if not (
@@ -239,7 +241,7 @@ def naive_confusion_series(
         for r in range(n_records):
             key = (uf.find(r), truth_labels[r])
             isizes[key] = isizes.get(key, 0) + 1
-        tp = sum(c * (c - 1) // 2 for c in isizes.values())
+        tp = sum(map(pair_universe_size, isizes.values()))
         thr = ordered[k - 1][0] if k else float("inf")
         out.append(point(thr, tp, uf.pair_count))
     return out

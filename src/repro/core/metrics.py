@@ -14,6 +14,11 @@ import math
 from dataclasses import dataclass
 
 
+def pair_universe_size(n_records: int) -> int:
+    """|[D]^2| = C(n, 2); elementwise on a numpy array of sizes."""
+    return n_records * (n_records - 1) // 2
+
+
 @dataclass(frozen=True, slots=True)
 class ConfusionCounts:
     """Cardinalities of the four confusion-matrix cells."""

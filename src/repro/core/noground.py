@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.clustering import match_graph
+from repro.core.metrics import pair_universe_size
 from repro.core.pairs import tag_memberships
 
 
@@ -53,7 +54,7 @@ def link_redundancy(pairs: DataFrame, records: DataFrame) -> float:
         n = uf.size[root]
         if n > 2:
             extra += e - (n - 1)
-            possible += n * (n - 1) // 2 - (n - 1)
+            possible += pair_universe_size(n) - (n - 1)
     return extra / possible if possible else 0.0
 
 

@@ -96,25 +96,27 @@ def with_records(
 
 
 def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
-    """The membership table of pair sets, the one place the views put them side by side.
+    """The membership table of pair sets, the one place where pair sets meet.
 
     One row per pair of any set: ``id1, id2``, a 0/1 ``in_<name>`` per set
-    and, if a set carries one, the maximum ``similarity`` (as in
-    :func:`canonicalize`; NULL for a pair in no such set). The union is
-    laid out by :func:`by_pair`; where every set already is, the optimizer
-    drops that exchange. Reading a flag of a pair listed twice in one set,
-    or whose ``id1 < id2`` is not true (reversed, self or NULL id), fails
-    the action with Spark's ``USER_RAISED_EXCEPTION`` naming the pair; the
-    check sits in every flag, as a filter would be folded away by
-    a view's own ``in_<name> = 1`` filter. Raises ``ValueError`` for no sets.
+    and every other column of any set, the maximum over the sets that carry
+    it (as in :func:`canonicalize`; NULL for a pair in no such set). The
+    union is laid out by :func:`by_pair`; where every set already is, the
+    optimizer drops that exchange. Reading a flag of a pair listed twice in
+    one set, or whose ``id1 < id2`` is not true (reversed, self or NULL id),
+    fails the action with Spark's ``USER_RAISED_EXCEPTION`` naming the pair;
+    the check sits in every flag, as a filter would be folded away by a
+    view's own ``in_<name> = 1`` filter. Raises ``ValueError`` for no sets,
+    or for a carried column named ``_src`` or ``in_<name>``.
     """
     if not sets:
         raise ValueError("no pair sets to compare")
-    tagged = [
-        s.select("id1", "id2", *({"similarity"} & set(s.columns)), F.lit(n).alias("_src"))
-        for n, s in sets.items()
-    ]
+    clash = {"_src", *(f"in_{n}" for n in sets)} & {c for s in sets.values() for c in s.columns}
+    if clash:
+        raise ValueError(f"pair set columns {sorted(clash)} clash with the membership table's")
+    tagged = [s.withColumn("_src", F.lit(n)) for n, s in sets.items()]
     union = reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), tagged)
+    carried = [c for c in union.columns if c not in (*PAIR_COLS, "_src")]
     counts = [F.count_if(F.col("_src") == n) for n in sets]
     ordered = F.coalesce(F.col("id1") < F.col("id2"), F.lit(False))
     broken = reduce(lambda a, c: a | (c > 1), counts, ~ordered)
@@ -124,7 +126,7 @@ def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     return (
         by_pair(union)
         .groupBy("id1", "id2")
-        .agg(*flags, *[F.max(c).alias(c) for c in {"similarity"} & set(union.columns)])
+        .agg(*flags, *[F.max(c).alias(c) for c in carried])
     )
 
 
@@ -148,9 +150,9 @@ def closure_missing_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
 
     The size of this set is the paper's ground-truth-free consistency metric
     (§3.2.3): "the minimum number of pairs that must be added … for it to be
-    transitively closed". Returns the missing pairs as a canonical pair set.
+    transitively closed". Returns the missing pairs as a canonical pair set;
+    ``pairs`` is checked as in :func:`tag_memberships`.
     """
     closed = pairs_from_clustering(connected_components(pairs, records))
-    return closed.join(
-        pairs.select("id1", "id2"), on=["id1", "id2"], how="left_anti"
-    )
+    table = tag_memberships({"closed": closed, "pairs": pairs.select(*PAIR_COLS)})
+    return table.filter("in_closed = 1 AND in_pairs = 0").select(*PAIR_COLS)

@@ -18,9 +18,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.confusion import confusion_grid, pair_universe_size
+from repro.core.confusion import confusion_grid
 from repro.core.diagrams import pair_sweeps
-from repro.core.metrics import f1, precision, recall
+from repro.core.metrics import f1, pair_universe_size, precision, recall
+from repro.core.pairs import PAIR_COLS, tag_memberships
 from repro.explore.setops import missed_by_at_least
 from repro.matchgen.blocking import token_blocking
 from repro.matchgen.matchers import Matcher, compute_features
@@ -47,9 +48,9 @@ def run_case_study(
 ) -> dict[str, pd.DataFrame]:
     """Run all five solutions and the three §5.4 evaluations.
 
-    The solutions are the similarity columns of one frame. Its full outer
-    join with gold is cached once and read by one confusion aggregate, one
-    threshold-sweep pass and the missed-pair view, for all five solutions.
+    The solutions are the similarity columns of one frame. Its membership
+    table with gold, which carries them, is cached once and read by one
+    confusion aggregate, one threshold-sweep pass and the missed-pair view.
     Every frame cached here is unpersisted before returning, also on an error.
 
     Returns ``{"metrics": ..., "threshold_audit": ..., "missed": ...}``.
@@ -57,20 +58,19 @@ def run_case_study(
     split = case_study_dataset(spark, scale=scale, seed=seed)
     dataset = split.dataset.cache()
     candidates = token_blocking(dataset, "name", max_token_df=max(40, int(60 * scale)))
-    key = ["id1", "id2"]
     features = {f for s in SOLUTIONS for f in s.features.items()}
     sims = [s.similarity().alias(s.name) for s in SOLUTIONS]
-    scored = compute_features(candidates, dataset, features).select(*key, *sims)
-    gold = split.gold_pairs.select(*key, F.lit(True).alias("_g"))
-    flagged = scored.join(gold, key, "full_outer").cache()
+    scored = compute_features(candidates, dataset, features).select(*PAIR_COLS, *sims)
+    flagged = tag_memberships({"scored": scored, "gold": split.gold_pairs}).cache()
+    is_gold = F.col("in_gold") == 1
     try:
         n_records = dataset.count()
         found = {s.name: F.col(s.name) >= s.threshold for s in SOLUTIONS}
-        cells = confusion_grid(flagged, found, F.col("_g"), pair_universe_size(n_records))
+        cells = confusion_grid(flagged, found, is_gold, pair_universe_size(n_records))
         # Threshold audit: pair-level sweeps over all scored candidates.
         gold_size = cells[SOLUTIONS[0].name].positives
         scores = {s.name: F.col(s.name) for s in SOLUTIONS}
-        sweeps = pair_sweeps(flagged, scores, F.col("_g"), gold_size).toPandas()
+        sweeps = pair_sweeps(flagged, scores, is_gold, gold_size).toPandas()
 
         metric_rows, audit_rows = [], []
         for sol in SOLUTIONS:
@@ -99,8 +99,8 @@ def run_case_study(
             )
 
         missed = missed_by_at_least(
-            flagged.filter(F.col("_g")).select(*key),
-            {n: flagged.filter(p).select(*key) for n, p in found.items()},
+            flagged.filter(is_gold).select(*PAIR_COLS),
+            {n: flagged.filter(p).select(*PAIR_COLS) for n, p in found.items()},
             k=4,
         ).toPandas()
     finally:

@@ -22,6 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.metrics import pair_universe_size
 from repro.core.pairs import with_records
 
 
@@ -91,7 +92,7 @@ def attribute_influence_report(
     rows = []
     for i, a in enumerate(attributes):
         nn = row[f"_nn{i}"] or 0
-        nc = n * (n - 1) // 2 - nn * (nn - 1) // 2
+        nc = pair_universe_size(n) - pair_universe_size(nn)
         ec = (row[f"_eq{i}"] or 0) // 2
         fnc, fec = row[f"_fn{i}"], row[f"_fe{i}"]
         rows.append(

@@ -12,6 +12,8 @@ from functools import reduce
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.core.pairs import PAIR_COLS, tag_memberships
+
 
 def around_threshold(
     scored: DataFrame,
@@ -151,8 +153,8 @@ def plain_result_pairs(pairs: DataFrame, closure_added: DataFrame) -> DataFrame:
     """§4.2.4 — hide pairs added by the clustering (transitive-closure) step.
 
     ``closure_added`` is the pair set the clustering algorithm introduced;
-    what remains is exactly what the matching solution itself labeled.
+    what remains is exactly what the matching solution itself labeled. Both
+    sets are checked (:func:`~repro.core.pairs.tag_memberships`).
     """
-    return pairs.join(
-        closure_added.select("id1", "id2"), on=["id1", "id2"], how="left_anti"
-    )
+    table = tag_memberships({"pairs": pairs, "added": closure_added.select(*PAIR_COLS)})
+    return table.filter("in_pairs = 1 AND in_added = 0").select(*pairs.columns)

@@ -24,24 +24,13 @@ def venn_regions(experiments: dict[str, DataFrame]) -> DataFrame:
     the pair). Returns ``(region, pair_count)`` where ``region`` is the
     sorted comma-joined list of member experiment names.
     """
-    tagged = tag_memberships(experiments)
-    member_cols = [f"in_{name}" for name in experiments]
+    # concat_ws skips NULLs, so a region names only the sets that list the pair.
     region = F.concat_ws(
-        ",",
-        F.array_sort(
-            F.filter(
-                F.array(
-                    *[
-                        F.when(F.col(c) == 1, F.lit(c.removeprefix("in_")))
-                        for c in member_cols
-                    ]
-                ),
-                lambda x: x.isNotNull(),
-            )
-        ),
+        ",", *[F.when(F.col(f"in_{n}") == 1, F.lit(n)) for n in sorted(experiments)]
     )
     return (
-        tagged.withColumn("region", region)
+        tag_memberships(experiments)
+        .withColumn("region", region)
         .groupBy("region")
         .agg(F.count("*").alias("pair_count"))
     )

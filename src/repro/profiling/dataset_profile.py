@@ -22,6 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.metrics import pair_universe_size
 from repro.text import words
 
 
@@ -65,7 +66,7 @@ def positive_ratio(
     if labeled_pairs is not None:
         denom = labeled_pairs.count()
     elif n_records is not None:
-        denom = n_records * (n_records - 1) // 2
+        denom = pair_universe_size(n_records)
     else:
         raise ValueError("pass labeled_pairs or n_records")
     return pos / denom if denom else 0.0

@@ -29,9 +29,9 @@ def test_run_leaves_nothing_cached(case_study_run):
 
 
 def test_run_is_one_labelled_frame_and_few_passes(case_study_run):
-    # One cached full outer join of the scored candidates with gold feeds
+    # One cached membership table of the scored candidates and gold feeds
     # the confusion grid, all five threshold sweeps and the missed pairs:
-    # 19 jobs on a 4-core box, against 42 with a join and sweep per solution.
+    # 17 jobs on a 4-core box, against 42 with a join and sweep per solution.
     assert case_study_run[1] <= 21
 
 

@@ -5,6 +5,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -405,12 +406,18 @@ class TestValidation:
             engine(6, [0, 0, 1, 1, 2, 2], matches, 6)
 
     @ENGINES
-    @pytest.mark.parametrize("sim", [2**53 + 1, Fraction(1, 3)])
+    @pytest.mark.parametrize("sim", [2**53 + 1, Fraction(1, 3), np.int64(2**53 + 1)])
     def test_similarity_not_exactly_a_float64(self, engine, sim):
         # As float64 it equals its neighbour, whose tie run it would join.
         matches = [(float(sim), 0, 1), (sim, 1, 2)]
         with pytest.raises(ValueError, match=re.escape(f"match {(sim, 1, 2)!r}")):
             engine(3, [0, 0, 1], matches, 3)
+
+    @ENGINES
+    def test_numpy_similarity_exact_in_float64_is_accepted(self, engine):
+        numpy = [(np.int64(5), 0, 1), (np.float32(0.5), 1, 2)]
+        plain = [(5.0, 0, 1), (0.5, 1, 2)]
+        assert engine(3, [0, 0, 1], numpy, 3) == engine(3, [0, 0, 1], plain, 3)
 
 
 class TestEdgeCases:

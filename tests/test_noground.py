@@ -52,6 +52,11 @@ class TestClosureViolations:
         with pytest.raises(ValueError, match=r"\('b', 'a'\)"):
             NG.closure_violation_count(prs, _recs(spark, "ab"))
 
+    def test_null_id_raises_naming_the_pair(self, spark):
+        prs = _pairs(spark, [("a", "b"), (None, "b")])
+        with pytest.raises(ValueError, match=r"\(None, 'b'\) is not canonical"):
+            NG.closure_violation_count(prs, _recs(spark, "ab"))
+
     def test_80_node_path(self, spark):
         nodes = [f"n{i:02d}" for i in range(80)]
         prs = _pairs(spark, list(zip(nodes, nodes[1:])))

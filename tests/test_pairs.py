@@ -15,8 +15,10 @@ from repro.core.clustering import connected_components
 from repro.core.confusion import confusion_counts, confusion_sets
 from repro.core.diagrams import spark_pair_sweep
 from repro.core.noground import consensus_deviations, majority_vote
+from repro.explore.selection import plain_result_pairs
 from repro.explore.setops import missed_by_at_least, select_region, venn_regions
 from repro.oracle import assert_equivalent
+from tests.test_spark_jobs import _job_ids
 
 
 def _pairs_df(spark, rows, cols=("id1", "id2")):
@@ -114,6 +116,12 @@ class TestClosureMissingPairs:
         recs = _pairs_df(spark, [("a",), ("b",), ("c",)], cols=("rid",))
         assert P.closure_missing_pairs(prs, recs).count() == 0
 
+    def test_pair_listed_twice_raises_naming_it(self, spark):
+        prs = _pairs_df(spark, [("a", "b"), ("b", "c"), ("a", "b")])
+        recs = _pairs_df(spark, [("a",), ("b",), ("c",)], cols=("rid",))
+        with pytest.raises(SparkRuntimeException, match=re.escape("pair (a, b)")):
+            P.closure_missing_pairs(prs, recs).collect()
+
 
 class TestWithRecords:
     @pytest.mark.parametrize("how", ["inner", "left"])
@@ -172,20 +180,34 @@ def _set_df(spark, pairs, sims=None):
     return spark.createDataFrame(rows, "id1 string, id2 string, similarity double")
 
 
+def _rank(pair):
+    """The second carried column's value of a pair in the last set."""
+    return len(PAIRS) - PAIRS.index(pair)
+
+
 def _duckdb_memberships(sets, scored, sims):
-    """Per pair: how often each set lists it, and the scored set's similarity."""
+    """Per pair: how often each set lists it, and the maximum similarity and rank."""
     con = duckdb.connect()
     try:
-        con.execute("CREATE TABLE t (name VARCHAR, id1 VARCHAR, id2 VARCHAR, sim DOUBLE)")
+        con.execute(
+            "CREATE TABLE t (name VARCHAR, id1 VARCHAR, id2 VARCHAR, sim DOUBLE, rank BIGINT)"
+        )
+        last = len(sets) - 1
         rows = [
-            (f"s{i}", a, b, sims[PAIRS.index((a, b))] if i == scored else None)
+            (
+                f"s{i}",
+                a,
+                b,
+                sims[PAIRS.index((a, b))] if i == scored else None,
+                _rank((a, b)) if i == last else None,
+            )
             for i, s in enumerate(sets)
             for a, b in s
         ]
         if rows:
-            con.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+            con.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?)", rows)
         flags = ", ".join(f"count_if(name = 's{i}')" for i in range(len(sets)))
-        query = f"SELECT id1, id2, {flags}, max(sim) FROM t GROUP BY id1, id2"
+        query = f"SELECT id1, id2, {flags}, max(sim), max(rank) FROM t GROUP BY id1, id2"
         return sorted(con.execute(query).fetchall())
     finally:
         con.close()
@@ -205,17 +227,35 @@ class TestTagMemberships:
     @example(sets=[set(), set(PAIRS[:3]), set(PAIRS[2:5])], scored=1, sims=[0.5] * len(PAIRS))
     @example(sets=[set(PAIRS[:2])], scored=0, sims=[0.9] * len(PAIRS))
     def test_matches_duckdb(self, spark, sets, scored, sims):
-        # One set carries a similarity, the others do not; pairs are shared
+        # One set carries a similarity and the last set a rank (the same set
+        # when only one is given), the others neither; pairs are shared
         # across sets, and any set may be empty.
         scored = min(scored, len(sets) - 1)
         frames = {
             f"s{i}": _set_df(spark, s, sims if i == scored else None)
             for i, s in enumerate(sets)
         }
+        last = f"s{len(sets) - 1}"
+        ranks = spark.createDataFrame(
+            [(*p, _rank(p)) for p in PAIRS], "id1 string, id2 string, rank long"
+        )
+        frames[last] = frames[last].join(ranks, ["id1", "id2"])
         table = P.tag_memberships(frames)
-        assert table.columns == ["id1", "id2", *[f"in_{n}" for n in frames], "similarity"]
+        carried = ["similarity", "rank"]
+        assert table.columns == ["id1", "id2", *[f"in_{n}" for n in frames], *carried]
         got = sorted(tuple(r) for r in table.collect())
         assert got == _duckdb_memberships(sets, scored, sims)
+
+    @pytest.mark.parametrize("column", ["_src", "in_y"])
+    def test_carried_column_clashing_raises_before_any_job(self, spark, column):
+        x = spark.createDataFrame([("a", "b", 1)], f"id1 string, id2 string, {column} int")
+        y = _set_df(spark, [("a", "b")])
+
+        def run():
+            with pytest.raises(ValueError, match=re.escape(f"['{column}'] clash")):
+                P.tag_memberships({"x": x, "y": y})
+
+        assert _job_ids(spark, run) == []
 
 
 def _scored(df):
@@ -239,6 +279,8 @@ ENTRY_POINTS = {
     ),
     "majority_vote": lambda bad, ok: majority_vote([ok, bad, ok]).collect(),
     "consensus_deviations": lambda bad, ok: consensus_deviations([ok, bad, ok]),
+    "plain_result_pairs/pairs": lambda bad, ok: plain_result_pairs(bad, ok).collect(),
+    "plain_result_pairs/added": lambda bad, ok: plain_result_pairs(ok, bad).collect(),
 }
 
 
