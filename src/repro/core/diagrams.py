@@ -15,8 +15,8 @@ Two engines:
   running TP count = cumulative sum of those counts, highest similarity
   first. This is the variant Catalyst can pipeline and is used to evaluate
   e.g. the decision-model stage (§3.2.1: pair-based metrics apply to
-  intermediate, non-closed stages); :func:`spark_pair_sweep` is its
-  one-result case.
+  intermediate, non-closed stages) and to fit the matchers' thresholds;
+  :func:`spark_pair_sweep` is its one-result case.
 """
 from __future__ import annotations
 
@@ -65,11 +65,12 @@ def best_threshold(
 ) -> tuple[float, float]:
     """(threshold, value) maximising ``metric`` — Snowman's threshold audit.
 
-    The §5.4 case study used this to show two contest solutions had left
-    6–8 f1 points on the table by not picking the optimal threshold. Every
-    row of a :func:`metric_metric_diagram` is the experiment at its own
+    The one threshold pick of the platform: the §5.4 audit and matcher
+    development call it. ``diagram`` is the rows of a
+    :func:`metric_metric_diagram` or of one result of :func:`pair_sweeps`,
+    highest threshold first. Every row is the experiment at its own
     threshold, ties included, so the pick is a threshold a matcher can use;
-    rows can repeat at ties, and the first of equal maxima is returned.
+    of equal maxima the first, the highest threshold, is returned.
     """
     row = diagram.loc[diagram[metric].idxmax()]
     return float(row["threshold"]), float(row[metric])
@@ -83,31 +84,31 @@ def pair_sweeps(
     ``pairs`` holds every pair of any result or of gold once; ``scores``
     maps a result's name to its similarity (NULL: the pair is not in that
     result) and ``is_gold`` marks gold pairs (NULL counts as false). Returns
-    ``(solution, similarity, tp, predicted, precision, recall, f1)``: per
-    result, the experiment "all its pairs with similarity >= s" at each
-    distinct ``s``, highest first (no transitive closure — the §3.2.1
+    ``(solution, threshold, tp, predicted, precision, recall, f1)``: per
+    result, the experiment "its pairs with similarity >= threshold" at each
+    distinct similarity, highest first (no transitive closure — the §3.2.1
     intermediate-stage view). The running sums window over the per-(result,
-    similarity) counts in one partition, so neither window nor sort shuffles.
+    threshold) counts in one partition, so neither window nor sort shuffles.
     """
     results = [
-        F.struct(F.lit(n).alias("solution"), s.alias("similarity")) for n, s in scores.items()
+        F.struct(F.lit(n).alias("solution"), s.alias("threshold")) for n, s in scores.items()
     ]
-    w = Window.partitionBy("solution").orderBy(F.col("similarity").desc())
+    w = Window.partitionBy("solution").orderBy(F.col("threshold").desc())
     running = [F.sum(c).over(w).alias(c) for c in ("tp", "predicted")]
     tp, p, r = F.col("tp"), F.col("precision"), F.col("recall")
     return (
         pairs.select(F.explode(F.array(*results)).alias("_r"), is_gold.alias("_g"))
         .select("_r.*", "_g")
-        .filter(F.col("similarity").isNotNull())
-        .groupBy("solution", "similarity")
+        .filter(F.col("threshold").isNotNull())
+        .groupBy("solution", "threshold")
         .agg(F.count_if("_g").alias("tp"), F.count("*").alias("predicted"))
         .coalesce(1)
-        .select("solution", "similarity", *running)
+        .select("solution", "threshold", *running)
         .withColumn("precision", tp / F.col("predicted"))
         # An empty gold standard has recall 0, as in ``metrics.recall``.
         .withColumn("recall", tp / F.lit(gold_size) if gold_size else F.lit(0.0))
         .withColumn("f1", F.when(p + r > 0, 2 * p * r / (p + r)).otherwise(F.lit(0.0)))
-        .orderBy("solution", F.col("similarity").desc())
+        .orderBy("solution", F.col("threshold").desc())
     )
 
 
@@ -120,10 +121,10 @@ def spark_pair_sweep(
     ``gold``: canonical gold pair set. The one-result :func:`pair_sweeps`
     over their membership table, which checks their contract (see
     :func:`~repro.core.pairs.tag_memberships`), without the ``solution``
-    column.
+    column and with its ``threshold`` named ``similarity``.
     """
     if gold_size is None:
         gold_size = gold.count()
     table = tag_memberships({"scored": scored_matches, "gold": gold})
     sweep = pair_sweeps(table, {"": F.col("similarity")}, F.col("in_gold") == 1, gold_size)
-    return sweep.drop("solution")
+    return sweep.drop("solution").withColumnRenamed("threshold", "similarity")

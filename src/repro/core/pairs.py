@@ -16,8 +16,9 @@ Conventions (DESIGN.md §6):
 from __future__ import annotations
 
 from functools import reduce
+from operator import or_
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.clustering import connected_components
@@ -95,6 +96,19 @@ def with_records(
     )
 
 
+def checked(value: Column, listed_twice: Column) -> Column:
+    """``value`` of an aggregate by ``(id1, id2)``, with the pair-set check.
+
+    Reading it fails the action with Spark's ``USER_RAISED_EXCEPTION``
+    naming the pair when ``listed_twice`` holds or ``id1 < id2`` is not true
+    (reversed, self or NULL id).
+    """
+    ordered = F.coalesce(F.col("id1") < F.col("id2"), F.lit(False))
+    msg = "pair (%s, %s) is not id1 < id2 or is listed twice in one set"
+    error = F.raise_error(F.format_string(msg, "id1", "id2"))
+    return F.when(listed_twice | ~ordered, error).otherwise(value)
+
+
 def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     """The membership table of pair sets, the one place where pair sets meet.
 
@@ -102,11 +116,9 @@ def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     and every other column of any set, the maximum over the sets that carry
     it (as in :func:`canonicalize`; NULL for a pair in no such set). The
     union is laid out by :func:`by_pair`; where every set already is, the
-    optimizer drops that exchange. Reading a flag of a pair listed twice in
-    one set, or whose ``id1 < id2`` is not true (reversed, self or NULL id),
-    fails the action with Spark's ``USER_RAISED_EXCEPTION`` naming the pair;
-    the check sits in every flag, as a filter would be folded away by a
-    view's own ``in_<name> = 1`` filter. Raises ``ValueError`` for no sets,
+    optimizer drops that exchange. Every flag is :func:`checked`, "listed
+    twice" meaning twice in one set (a filter would be folded away by a
+    view's own ``in_<name> = 1`` filter). Raises ``ValueError`` for no sets,
     or for a carried column named ``_src`` or ``in_<name>``.
     """
     if not sets:
@@ -118,11 +130,8 @@ def tag_memberships(sets: dict[str, DataFrame]) -> DataFrame:
     union = reduce(lambda a, b: a.unionByName(b, allowMissingColumns=True), tagged)
     carried = [c for c in union.columns if c not in (*PAIR_COLS, "_src")]
     counts = [F.count_if(F.col("_src") == n) for n in sets]
-    ordered = F.coalesce(F.col("id1") < F.col("id2"), F.lit(False))
-    broken = reduce(lambda a, c: a | (c > 1), counts, ~ordered)
-    msg = "pair (%s, %s) is not id1 < id2 or is listed twice in one set"
-    error = F.raise_error(F.format_string(msg, "id1", "id2"))
-    flags = [F.when(broken, error).otherwise(c).alias(f"in_{n}") for n, c in zip(sets, counts)]
+    twice = reduce(or_, [c > 1 for c in counts])
+    flags = [checked(c, twice).alias(f"in_{n}") for n, c in zip(sets, counts)]
     return (
         by_pair(union)
         .groupBy("id1", "id2")

@@ -19,7 +19,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.confusion import confusion_grid
-from repro.core.diagrams import pair_sweeps
+from repro.core.diagrams import best_threshold, pair_sweeps
 from repro.core.metrics import f1, pair_universe_size, precision, recall
 from repro.core.pairs import PAIR_COLS, tag_memberships
 from repro.explore.setops import missed_by_at_least
@@ -84,17 +84,15 @@ def run_case_study(
                     "f1": f1(c),
                 }
             )
-            # Rows run from the highest similarity down: idxmax picks the first maximum.
-            sweep = sweeps[sweeps["solution"] == sol.name]
-            best = sweep.loc[sweep["f1"].idxmax()]
+            best, best_f1 = best_threshold(sweeps[sweeps["solution"] == sol.name], "f1")
             audit_rows.append(
                 {
                     "solution": sol.name,
                     "chosen_threshold": sol.threshold,
                     "chosen_f1": f1(c),
-                    "best_threshold": float(best["similarity"]),
-                    "best_f1": float(best["f1"]),
-                    "f1_gain": float(best["f1"]) - f1(c),
+                    "best_threshold": best,
+                    "best_f1": best_f1,
+                    "f1_gain": best_f1 - f1(c),
                 }
             )
 

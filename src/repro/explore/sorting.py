@@ -11,6 +11,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.core.pairs import PAIR_COLS, checked
 from repro.text import words
 
 
@@ -68,13 +69,16 @@ def pair_entropy(
 
     Adds an ``entropy`` column to the canonical pair set ``pairs`` for
     interestingness sorting: each pair is split into its two ends, joined
-    once with the record entropies, and summed.
+    once with the record entropies, and summed per pair. The sum is
+    :func:`~repro.core.pairs.checked`: reading it fails the action for a
+    pair listed twice or whose ``id1 < id2`` is not true.
     """
     ends = pairs.select(*pairs.columns, F.explode(F.array("id1", "id2")).alias("rid"))
     ent = _token_entropy(dataset, attributes)
-    return ends.join(ent, "rid", "left").groupBy(*pairs.columns).agg(
-        F.sum(F.coalesce("entropy", F.lit(0.0))).alias("entropy")
-    )
+    total = checked(F.sum(F.coalesce("entropy", F.lit(0.0))), F.count("*") != 2)
+    extra = [F.max(c).alias(c) for c in pairs.columns if c not in PAIR_COLS]
+    out = ends.join(ent, "rid", "left").groupBy(*PAIR_COLS).agg(*extra, total.alias("entropy"))
+    return out.select(*pairs.columns, "entropy")
 
 
 def sort_by_entropy(

@@ -7,9 +7,10 @@ pipeline: candidate pairs → attribute similarities → weighted decision
 model with a similarity threshold.
 
 Development ("training") happens strictly on a training split: feature
-weights are learned from label correlations and the threshold is fitted by
-an f1 sweep — using Frost's own diagram machinery would be circular for
-Table 3, so the sweep is a plain pandas computation. Two design choices are
+weights are learned from label correlations and the threshold is the best
+training f1 of Frost's pair-level sweep (``diagrams.pair_sweeps`` and
+``best_threshold``). The sweep sees only the training split; Table 3
+evaluates with ``confusion_grid``, not with a sweep. Two design choices are
 *learned from the data the developer saw*, which is what produces the
 paper's Appendix-C transfer asymmetry:
 
@@ -31,6 +32,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.diagrams import best_threshold, pair_sweeps
 from repro.core.pairs import with_records
 from repro.matchgen.similarity import SIMILARITIES
 
@@ -129,28 +131,6 @@ def fit_weights(
     return {a: v / total for a, v in w.items()}
 
 
-def fit_threshold(scores: pd.Series, labels: pd.Series) -> tuple[float, float]:
-    """Best-f1 threshold over the candidate scores: (threshold, train f1).
-
-    Sweeps every distinct score descending with cumulative TP counts (the
-    pair-level sweep of §4.5.1, in pandas because it runs inside matcher
-    *development*, not evaluation).
-    """
-    df = pd.DataFrame({"s": scores.astype(float), "y": labels.astype(int)})
-    df = df.sort_values("s", ascending=False, ignore_index=True)
-    pos = int(df["y"].sum())
-    if pos == 0:
-        return 1.0, 0.0
-    df["tp"] = df["y"].cumsum()
-    df["pred"] = np.arange(1, len(df) + 1)
-    grouped = df.groupby("s", sort=False).agg(tp=("tp", "max"), pred=("pred", "max"))
-    p = grouped["tp"] / grouped["pred"]
-    r = grouped["tp"] / pos
-    f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
-    best = int(np.argmax(f1))
-    return float(grouped.index[best]), float(f1[best])
-
-
 #: hand-set weights of the ``rule`` and ``hybrid`` matcher kinds.
 _FIXED_WEIGHTS: dict[str, dict[str, float]] = {
     "rule": {
@@ -183,7 +163,8 @@ def develop_matchers(
     Every kind takes its null policy from the training feature sparsity
     (dense -> penalize, sparse -> renormalize), mirroring what a developer
     sees, and its threshold from the best training f1: all from one cached
-    feature frame and one ``select`` of the matchers' similarity columns.
+    feature frame, collected once and swept once by ``pair_sweeps``. Raises
+    ``ValueError`` when no training pair is positive (``label = 1``).
     """
     for kind in kinds.values():
         if kind != "ml" and kind not in _FIXED_WEIGHTS:
@@ -195,6 +176,9 @@ def develop_matchers(
     ).cache()
     try:
         feats = feats_df.toPandas()
+        positives = int((feats["label"] == 1).sum())
+        if positives == 0:
+            raise ValueError("no positive (label = 1) training pair to fit a threshold on")
         null_rate = float(feats[list(cols)].isna().mean().mean())
         policy = "penalize" if null_rate < 0.25 else "renormalize"
         ms = []
@@ -204,11 +188,10 @@ def develop_matchers(
             else:
                 weights = {a: w for a, w in _FIXED_WEIGHTS[kind].items() if a in features}
             ms.append(Matcher(name, dict(features), weights, policy))
-        scores = feats_df.select(
-            "label", *[m.similarity().alias(f"_s{i}") for i, m in enumerate(ms)]
-        ).toPandas()
+        scores = {m.name: m.similarity() for m in ms}
+        sweeps = pair_sweeps(feats_df, scores, F.col("label") == 1, positives).toPandas()
     finally:
         feats_df.unpersist()
-    for i, m in enumerate(ms):
-        m.threshold, _ = fit_threshold(scores[f"_s{i}"], scores["label"])
+    for m in ms:
+        m.threshold, _ = best_threshold(sweeps[sweeps["solution"] == m.name], "f1")
     return ms

@@ -1,8 +1,9 @@
 """Layering of ``src/repro``, checked on the source text.
 
 ``repro.core`` is the evaluation kernel every other package builds on, so
-it imports nothing of theirs; and ``repro/text.py`` is the one place that
-splits text into words.
+it imports nothing of theirs; ``repro/text.py`` is the one place that
+splits text into words; and ``diagrams.best_threshold`` is the one place
+that picks a best threshold.
 """
 import ast
 from pathlib import Path
@@ -49,3 +50,17 @@ def test_only_text_module_splits_words():
         and node.func.value.id == "F"
     }
     assert callers == {"repro/text.py"}
+
+
+def test_only_diagrams_picks_a_maximum():
+    callers = {
+        str(path.relative_to(SRC))
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in {"idxmax", "argmax"}
+            or isinstance(node.func, ast.Name) and node.func.id == "argmax"
+        )
+    }
+    assert callers == {"repro/core/diagrams.py"}

@@ -1,12 +1,16 @@
 """Tests for repro.matchgen.matchers — simulated matching solutions."""
+import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
+from repro.core.diagrams import best_threshold, pair_sweeps
 from repro.matchgen.matchers import (
     Matcher,
     compute_features,
     develop_matchers,
-    fit_threshold,
     fit_weights,
 )
 
@@ -95,31 +99,65 @@ class TestMatcherScore:
         assert [(r["id1"], r["id2"]) for r in got] == [("r1", "r2")]
 
 
+def _reference_fit(scores: pd.Series, labels: pd.Series) -> tuple[float, float]:
+    """Best-f1 threshold by a pandas cumulative sweep: (threshold, train f1).
+
+    The pandas sweep ``develop_matchers`` used before it called
+    ``pair_sweeps``, kept as the reference: the same IEEE operations in the
+    same order, so the results must be equal, not close.
+    """
+    df = pd.DataFrame({"s": scores.astype(float), "y": labels.astype(int)})
+    df = df.sort_values("s", ascending=False, ignore_index=True)
+    pos = int(df["y"].sum())
+    if pos == 0:
+        return 1.0, 0.0
+    df["tp"] = df["y"].cumsum()
+    df["pred"] = np.arange(1, len(df) + 1)
+    grouped = df.groupby("s", sort=False).agg(tp=("tp", "max"), pred=("pred", "max"))
+    p = grouped["tp"] / grouped["pred"]
+    r = grouped["tp"] / pos
+    f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+    best = int(np.argmax(f1))
+    return float(grouped.index[best]), float(f1[best])
+
+
+def _fit(spark, scores, labels) -> tuple[float, float]:
+    """The threshold fit of ``develop_matchers``: ``pair_sweeps`` + ``best_threshold``."""
+    train = spark.createDataFrame(list(zip(scores, labels)), "s double, label int")
+    sweep = pair_sweeps(train, {"m": F.col("s")}, F.col("label") == 1, sum(labels))
+    return best_threshold(sweep.toPandas(), "f1")
+
+
 class TestFitThreshold:
-    def test_perfect_separation(self):
-        scores = pd.Series([0.9, 0.8, 0.2, 0.1])
-        labels = pd.Series([1, 1, 0, 0])
-        thr, best_f1 = fit_threshold(scores, labels)
+    def test_perfect_separation(self, spark):
+        thr, best_f1 = _fit(spark, [0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
         assert best_f1 == pytest.approx(1.0)
         assert 0.2 < thr <= 0.8
 
-    def test_no_positives(self):
-        thr, best = fit_threshold(pd.Series([0.5, 0.6]), pd.Series([0, 0]))
-        assert (thr, best) == (1.0, 0.0)
-
-    def test_threshold_is_inclusive_score(self):
-        scores = pd.Series([0.9, 0.5, 0.1])
-        labels = pd.Series([1, 1, 0])
-        thr, best = fit_threshold(scores, labels)
+    def test_threshold_is_inclusive_score(self, spark):
+        thr, best = _fit(spark, [0.9, 0.5, 0.1], [1, 1, 0])
         assert thr == pytest.approx(0.5)
         assert best == pytest.approx(1.0)
 
-    def test_overlapping_distributions(self):
-        scores = pd.Series([0.9, 0.7, 0.6, 0.5, 0.4, 0.2])
-        labels = pd.Series([1, 0, 1, 1, 0, 0])
-        thr, best = fit_threshold(scores, labels)
+    def test_overlapping_distributions(self, spark):
+        thr, best = _fit(spark, [0.9, 0.7, 0.6, 0.5, 0.4, 0.2], [1, 0, 1, 1, 0, 0])
         # best at thr=0.5: p=3/4, r=1 -> f1=6/7
         assert best == pytest.approx(6 / 7)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.2, 0.5, 0.9]), st.sampled_from([0, 1])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_equals_the_pandas_sweep_at_ties(self, spark, rows):
+        scores, labels = (list(c) for c in zip(*rows))
+        assume(any(labels))
+        assert _fit(spark, scores, labels) == _reference_fit(
+            pd.Series(scores), pd.Series(labels)
+        )
 
 
 class TestFitWeights:
@@ -181,3 +219,8 @@ class TestDevelopMatcher:
     def test_unknown_kind_raises(self, spark, dataset, training, features):
         with pytest.raises(ValueError):
             develop_matchers({"m": "wat"}, training, dataset, features=features)
+
+    def test_no_positives_raises(self, spark, dataset, training, features):
+        negatives = training.filter(F.col("label") == 0)
+        with pytest.raises(ValueError, match=r"no positive \(label = 1\) training pair"):
+            develop_matchers({"m": "ml"}, negatives, dataset, features=features)

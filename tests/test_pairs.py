@@ -17,6 +17,7 @@ from repro.core.diagrams import spark_pair_sweep
 from repro.core.noground import consensus_deviations, majority_vote
 from repro.explore.selection import plain_result_pairs
 from repro.explore.setops import missed_by_at_least, select_region, venn_regions
+from repro.explore.sorting import pair_entropy
 from repro.oracle import assert_equivalent
 from tests.test_spark_jobs import _job_ids
 
@@ -262,6 +263,13 @@ def _scored(df):
     return df.withColumn("similarity", F.lit(0.5))
 
 
+def _records(df):
+    """Records ``a``–``f`` of ``PAIRS``, one word each, in ``df``'s session."""
+    return df.sparkSession.createDataFrame(
+        [(r, f"w{r}") for r in "abcdef"], "rid string, name string"
+    )
+
+
 #: every view that puts pair sets side by side, fed one set that breaks the
 #: contract (``bad``) and one valid set (``ok``).
 ENTRY_POINTS = {
@@ -281,6 +289,7 @@ ENTRY_POINTS = {
     "consensus_deviations": lambda bad, ok: consensus_deviations([ok, bad, ok]),
     "plain_result_pairs/pairs": lambda bad, ok: plain_result_pairs(bad, ok).collect(),
     "plain_result_pairs/added": lambda bad, ok: plain_result_pairs(ok, bad).collect(),
+    "pair_entropy": lambda bad, ok: pair_entropy(bad, _records(ok), ["name"]).collect(),
 }
 
 

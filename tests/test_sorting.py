@@ -1,8 +1,10 @@
 """Tests for repro.explore.sorting — similarity sort and column entropy."""
 import math
+import re
 
 import pandas as pd
 import pytest
+from pyspark.errors import SparkRuntimeException
 
 from repro.explore import sorting as SO
 
@@ -89,6 +91,18 @@ class TestPairEntropy:
         out = SO.sort_by_entropy(pairs, ds, ["name"]).collect()
         # (r1, r2) contains the rare token -> higher entropy -> first.
         assert (out[0]["id1"], out[0]["id2"]) == ("r1", "r2")
+
+    def test_pair_listed_twice_with_other_columns_raises(self, spark, ds):
+        # The two rows differ in their similarity, yet are the same pair.
+        pairs = _ds(spark, [("r1", "r2", 0.5), ("r1", "r2", 0.7)], ("id1", "id2", "similarity"))
+        with pytest.raises(SparkRuntimeException, match=re.escape("pair (r1, r2)")):
+            SO.pair_entropy(pairs, ds, ["name"]).collect()
+
+    def test_extra_columns_kept_in_order(self, spark, ds):
+        pairs = _ds(spark, [(0.5, "r1", "r2")], ("similarity", "id1", "id2"))
+        out = SO.pair_entropy(pairs, ds, ["name"])
+        assert out.columns == ["similarity", "id1", "id2", "entropy"]
+        assert out.first()["similarity"] == 0.5
 
     def test_multi_attribute_sums(self, spark):
         ds = _ds(
